@@ -24,9 +24,10 @@ Three panels around the ``repro.groups`` subsystem (docs/partitioning.md):
   marker arrival, in ``DELTA`` units).
 
 * **wall** — an honest, *ungated* wall-clock sanity panel: a real
-  threaded :class:`~repro.groups.cluster.GroupedCluster` at 1 vs 2 groups
-  on this host.  Under one CPython GIL on a small box, grouped ordering
-  adds threads rather than cores, so no speedup is claimed or asserted —
+  threaded :class:`~repro.smr.cluster.ThreadedCluster` at
+  ``ClusterConfig(n_groups=1)`` vs ``n_groups=2`` on this host.  Under one
+  CPython GIL on a small box, grouped ordering adds threads rather than
+  cores, so no speedup is claimed or asserted —
   the number is recorded so EXPERIMENTS.md can show what the simulation
   abstracts away (see the scaling-panel caveats there).
 
@@ -49,10 +50,10 @@ from conftest import emit
 
 from repro.bench import FigureData
 from repro.core.command import Command, MultiKeyedConflicts
-from repro.groups.cluster import GroupedCluster, GroupsConfig
 from repro.groups.merge import GroupMerger
 from repro.groups.messages import Rendezvous, rendezvous_xid
 from repro.groups.partition import PartitionMap
+from repro.smr.cluster import ClusterConfig, ThreadedCluster
 from repro.workload import WorkloadGenerator
 
 SMOKE = bool(int(os.environ.get("REPRO_BENCH_SMOKE", "0")))
@@ -169,7 +170,7 @@ def measure_cross() -> Dict[str, object]:
 # ------------------------------------------------------------- wall clock
 
 def _wall_run(n_groups: int) -> Dict[str, float]:
-    config = GroupsConfig(
+    config = ClusterConfig(
         n_groups=n_groups,
         n_replicas=3,
         service="linked-list-keyed",
@@ -179,7 +180,7 @@ def _wall_run(n_groups: int) -> Dict[str, float]:
     # over the groups, so both runs order the same single-partition load.
     commands = [Command("add", (key,), client_id=None, writes=True)
                 for key in range(WALL_COMMANDS)]
-    with GroupedCluster(config) as cluster:
+    with ThreadedCluster(config) as cluster:
         client = cluster.client()
         begun = time.perf_counter()
         for start in range(0, len(commands), 10):

@@ -64,9 +64,15 @@ def main() -> None:
         )
         with ThreadedCluster(config) as cluster:
             executed = run_clients(cluster, n_clients, write_pct, duration)
-            time.sleep(0.3)  # drain in-flight executions
-            snapshots = [sorted(s.snapshot()) for s in cluster.services()]
-            agree = all(snap == snapshots[0] for snap in snapshots)
+            # Followers may still be executing what the clients already saw
+            # answered by the fastest replica: give them time to drain.
+            deadline = time.monotonic() + 5.0
+            while True:
+                snapshots = [sorted(s.snapshot()) for s in cluster.services()]
+                agree = all(snap == snapshots[0] for snap in snapshots)
+                if agree or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
             print(
                 f"{algorithm:15s} {executed / duration:10.0f} cmds/s  "
                 f"(write_pct={write_pct}%, clients={n_clients}, "

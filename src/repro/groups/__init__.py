@@ -19,23 +19,22 @@ see docs/partitioning.md):
   all involved groups delivered their marker, at a merged position all
   replicas agree on (lowest involved group id, that group's sequence) —
   no extra consensus round;
-- a :class:`~repro.groups.cluster.GroupedCluster` wires N such groups to
-  in-process replicas; :mod:`repro.groups.net` deploys the same topology
-  over TCP (``python -m repro net group-supervise``).
+- groups are a parameter of the one live replica stack, not a deployment
+  of their own: ``ClusterConfig(n_groups=G)`` / ``NetConfig(n_groups=G)``
+  make :mod:`repro.smr.stack` build G ordering nodes per replica in front
+  of a :class:`~repro.groups.stage.MergeStage` (``python -m repro net
+  supervise --groups G`` over TCP).
 """
 
-from repro.groups.cluster import GroupedCluster, GroupsConfig
 from repro.groups.merge import Emission, GroupMerger, SkipHoldMerger
 from repro.groups.messages import Rendezvous, rendezvous_xid
 from repro.groups.partition import PartitionMap
-from repro.groups.replica import GroupedReplica
+from repro.groups.stage import MergeStage
 
 __all__ = [
     "Emission",
     "GroupMerger",
-    "GroupedCluster",
-    "GroupedReplica",
-    "GroupsConfig",
+    "MergeStage",
     "PartitionMap",
     "Rendezvous",
     "SkipHoldMerger",

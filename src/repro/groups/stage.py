@@ -1,18 +1,20 @@
-"""One replica consuming N consensus groups through a merger.
+"""The merge stage: N ordered group streams in front of one replica.
 
-A :class:`GroupedReplica` is the grouped counterpart of wiring a
-:class:`~repro.smr.replica.ParallelReplica` straight to one broadcast
-node: every group's delivery callback funnels into one
-:class:`~repro.groups.merge.GroupMerger` under a single lock, and released
-commands feed the inner replica's COS exactly as single-group deliveries
-would — per-class FIFO is preserved because the merger releases each
-group's stream in consensus order.
+A :class:`MergeStage` sits between a replica's per-group ordering nodes
+and its execution stage when ``n_groups > 1`` (at one group the node
+delivers straight into the replica and none of this exists — see
+:mod:`repro.smr.stack`).  Every group's delivery callback funnels into
+one :class:`~repro.groups.merge.GroupMerger` under a single lock, and
+released commands feed the replica's COS exactly as single-group
+deliveries would — per-class FIFO is preserved because the merger
+releases each group's stream in consensus order.  The execution stage is
+whatever was built behind it (threaded or mp engine, any COS).
 
-Two grouped-specific concerns live here:
+Two grouped-specific concerns live around it:
 
 - **dedup**: requests of one client may arrive out of request-id order
-  across groups, so the inner replica runs the windowed dedup cache
-  (``dedup_window``; see :mod:`repro.smr.replica`);
+  across groups, so the replica behind a merge stage runs the windowed
+  dedup cache (``DEFAULT_DEDUP_WINDOW``; see :mod:`repro.smr.replica`);
 - **lease reads**: a group leaseholder may serve a local read only when
   every delivered item of that group has been released — a hold in the
   group's stream may hide a write that already completed at another
@@ -27,22 +29,17 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
+                    Tuple)
 
 from repro.core.command import Command
-from repro.core.cos import DEFAULT_MAX_SIZE
 from repro.groups.merge import Emission, GroupMerger
 from repro.groups.messages import Rendezvous
 from repro.groups.partition import PartitionMap
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
-from repro.smr.replica import ParallelReplica, ResponseCallback
-from repro.smr.service import Service
 
-__all__ = ["GroupedReplica", "DEFAULT_DEDUP_WINDOW"]
-
-#: Default per-client dedup window; must exceed any client's in-flight
-#: request count by a wide margin (client batches are tens of commands).
-DEFAULT_DEDUP_WINDOW = 1024
+__all__ = ["MergeStage"]
 
 
 def _flatten_group_items(payload: Any) -> Iterable[Any]:
@@ -64,72 +61,48 @@ def _flatten_group_items(payload: Any) -> Iterable[Any]:
         yield from _flatten_group_items(item)
 
 
-class GroupedReplica:
-    """N ordered group streams -> one merger -> one COS -> one service."""
+class MergeStage:
+    """N ordered group streams -> one merger -> ``replica``'s COS."""
 
     def __init__(
         self,
-        replica_id: int,
-        service: Service,
-        partition_map: PartitionMap,
-        cos_algorithm: str = "lock-free",
-        workers: int = 4,
-        max_graph_size: int = DEFAULT_MAX_SIZE,
-        on_response: Optional[ResponseCallback] = None,
-        registry: Optional[MetricsRegistry] = None,
-        dedup_window: int = DEFAULT_DEDUP_WINDOW,
+        replica: Any,
+        n_groups: int,
         record_history: bool = False,
+        registry: Optional[MetricsRegistry] = None,
     ):
-        self.replica_id = replica_id
-        self.partition_map = partition_map
+        """``replica`` is the execution stage (a
+        :class:`~repro.smr.replica.ParallelReplica`); its service's
+        conflict relation must provide footprints — the partition map
+        raises :class:`~repro.errors.ConfigurationError` otherwise
+        (routing soundness; docs/partitioning.md)."""
+        self.replica = replica
+        conflicts = replica.service.conflicts
+        self.partition_map = PartitionMap(conflicts, n_groups)
         self.registry = registry if registry is not None else NULL_REGISTRY
-        self.replica = ParallelReplica(
-            replica_id,
-            service,
-            cos_algorithm=cos_algorithm,
-            workers=workers,
-            max_graph_size=max_graph_size,
-            on_response=on_response,
-            registry=self.registry,
-            dedup_window=dedup_window,
-        )
         self.merger = GroupMerger(
-            partition_map.n_groups,
-            record_history=record_history,
-            conflicts=service.conflicts,
-        )
+            n_groups, record_history=record_history, conflicts=conflicts)
         self._lock = threading.Lock()
         self._merged_seq = -1
-        self._deferred_reads: List[List[Any]] = [
-            [] for _ in range(partition_map.n_groups)]
+        self._deferred_reads: List[List[Any]] = [[] for _ in range(n_groups)]
         self._hold_since: Dict[str, float] = {}
         obs = self.registry
         self._obs_on = obs.enabled
         self._m_delivered = [
             obs.counter("group_delivered_total", group=str(group))
-            for group in range(partition_map.n_groups)]
+            for group in range(n_groups)]
         self._g_lag = [
             obs.gauge("group_merge_lag", group=str(group))
-            for group in range(partition_map.n_groups)]
+            for group in range(n_groups)]
         self._m_wait = obs.histogram("rendezvous_wait_seconds")
         self._m_single = obs.counter("group_released_total", kind="single")
         self._m_cross = obs.counter("group_released_total", kind="cross")
 
-    # ------------------------------------------------------------ lifecycle
-
-    @property
-    def service(self) -> Service:
-        return self.replica.service
-
-    @property
-    def executed(self) -> int:
-        return self.replica.executed
-
-    def start(self) -> None:
-        self.replica.start()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self.replica.stop(timeout=timeout)
+    def sinks(self, group: int) -> Tuple[Callable[[int, Any], None],
+                                         Callable[[Any], None]]:
+        """``(on_deliver, on_read)`` callbacks for group ``group``'s node."""
+        return (partial(self.on_group_deliver, group),
+                partial(self.on_group_read, group))
 
     # ------------------------------------------------------------- delivery
 

@@ -1,20 +1,17 @@
-"""``python -m repro net <replica|client|bench|supervise|group-*>``.
+"""``python -m repro net <replica|client|bench|supervise>``.
 
 Subcommands:
 
 - ``replica --id I --config FILE`` — run one replica process (the unit the
   supervisor spawns); blocks until SIGTERM/SIGINT.  A config with
-  ``n_groups > 1`` boots the partitioned server (docs/partitioning.md).
-- ``supervise --replicas N [...]`` — spawn a local process-per-replica
-  cluster and keep it up until interrupted; prints the config file path so
-  clients can join.
-- ``client --config FILE --ops N [...]`` — run a closed-loop client batch
-  workload against a running cluster and print throughput.
-- ``group-supervise --groups G [...]`` — spawn a partitioned deployment:
-  the same process-per-replica fleet, each process hosting one protocol
-  node per consensus group.
-- ``group-client --config FILE --cross F [...]`` — closed-loop client with
-  a partition-crossing workload against a partitioned cluster.
+  ``n_groups > 1`` hosts one protocol node per consensus group
+  (docs/partitioning.md).
+- ``supervise --replicas N [--groups G] [...]`` — spawn a local
+  process-per-replica cluster and keep it up until interrupted; prints the
+  config file path so clients can join.
+- ``client --config FILE --ops N [--cross F] [...]`` — run a closed-loop
+  client batch workload against a running cluster and print throughput;
+  ``--cross`` makes that fraction of the commands span partitions.
 - ``bench [...] --out FILE`` — full loopback benchmark: spawn processes,
   drive clients, optionally crash/recover one replica, write the JSON
   artifact (see :mod:`repro.net.bench`).
@@ -27,7 +24,7 @@ import signal
 import sys
 import threading
 import time
-from typing import List, Optional
+from typing import Any, Dict
 
 from repro.core import COS_ALGORITHMS
 from repro.net.bench import NetBenchConfig, run_net_bench
@@ -92,6 +89,9 @@ def add_net_parser(sub: argparse._SubParsersAction) -> None:
     supervise = net_sub.add_parser(
         "supervise", help="spawn a local process-per-replica cluster")
     _add_cluster_options(supervise)
+    supervise.add_argument("--groups", type=int, default=1,
+                           help="consensus groups (state partitions) per "
+                                "replica (docs/partitioning.md)")
     supervise.add_argument("--config-out", default="repro-net-cluster.json",
                            help="where to write the deployment JSON")
     supervise.add_argument("--metrics", action="store_true",
@@ -104,39 +104,14 @@ def add_net_parser(sub: argparse._SubParsersAction) -> None:
     client.add_argument("--ops", type=int, default=200)
     client.add_argument("--batch", type=int, default=8)
     client.add_argument("--write-pct", type=float, default=30.0)
+    client.add_argument("--cross", type=float, default=0.0,
+                        help="fraction of commands spanning >= 2 partitions "
+                             "(in [0, 1]; needs a config with n_groups > 1)")
+    client.add_argument("--keys-per-cross", type=int, default=2,
+                        help="keys (and distinct partitions) per "
+                             "cross-partition command")
     client.add_argument("--contact", type=int, default=0)
     client.add_argument("--seed", type=int, default=1)
-
-    group_supervise = net_sub.add_parser(
-        "group-supervise",
-        help="spawn a partitioned process-per-replica cluster "
-             "(docs/partitioning.md)")
-    _add_cluster_options(group_supervise)
-    group_supervise.add_argument(
-        "--groups", type=int, default=2,
-        help="consensus groups (state partitions) per replica")
-    group_supervise.add_argument(
-        "--config-out", default="repro-net-groups.json",
-        help="where to write the deployment JSON")
-    group_supervise.add_argument(
-        "--metrics", action="store_true",
-        help="serve /metrics from every replica (docs/observability.md)")
-
-    group_client = net_sub.add_parser(
-        "group-client",
-        help="closed-loop client with a partition-crossing workload")
-    group_client.add_argument("--config", required=True)
-    group_client.add_argument("--ops", type=int, default=200)
-    group_client.add_argument("--batch", type=int, default=8)
-    group_client.add_argument("--write-pct", type=float, default=30.0)
-    group_client.add_argument(
-        "--cross", type=float, default=0.0,
-        help="fraction of commands spanning >= 2 partitions (in [0, 1])")
-    group_client.add_argument(
-        "--keys-per-cross", type=int, default=2,
-        help="keys (and distinct partitions) per cross-partition command")
-    group_client.add_argument("--contact", type=int, default=0)
-    group_client.add_argument("--seed", type=int, default=1)
 
     bench = net_sub.add_parser(
         "bench", help="loopback throughput/latency benchmark -> JSON")
@@ -172,13 +147,7 @@ def _wait_for_signal() -> None:
 def _cmd_replica(args: argparse.Namespace) -> int:
     with open(args.config) as handle:
         config = NetConfig.from_json(handle.read())
-    if config.n_groups > 1:
-        from repro.groups.net import GroupedReplicaServer
-
-        server = GroupedReplicaServer(args.replica_id, config)
-    else:
-        server = ReplicaServer(args.replica_id, config)
-    server.start()
+    server = ReplicaServer(args.replica_id, config).start()
     host, port = config.addresses[args.replica_id]
     print(f"replica {args.replica_id} listening on {host}:{port}", flush=True)
     try:
@@ -188,12 +157,11 @@ def _cmd_replica(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_supervise(args: argparse.Namespace) -> int:
-    config = loopback_config(
-        n_replicas=args.replicas,
-        metrics=args.metrics,
+def _config_from_args(args: argparse.Namespace) -> Dict[str, Any]:
+    """The ``_add_cluster_options`` flags as config fields — the names
+    :class:`NetConfig` and :class:`NetBenchConfig` share."""
+    return dict(
         service=args.service,
-        protocol=args.protocol,
         cos_algorithm=args.algorithm,
         workers=args.workers,
         engine=args.engine,
@@ -205,87 +173,37 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
         lease_margin=args.lease_margin,
         lease_reads=not args.no_lease_reads,
     )
+
+
+def _cmd_supervise(args: argparse.Namespace) -> int:
+    config = loopback_config(
+        n_replicas=args.replicas,
+        metrics=args.metrics,
+        protocol=args.protocol,
+        n_groups=args.groups,
+        **_config_from_args(args),
+    )
     with open(args.config_out, "w") as handle:
         handle.write(config.to_json())
     with Supervisor(config) as supervisor:
         supervisor.wait_ready()
-        print(f"{args.replicas} replica processes up; deployment config at "
-              f"{args.config_out}", flush=True)
+        hosting = (f", each hosting {args.groups} consensus groups"
+                   if args.groups > 1 else "")
+        print(f"{args.replicas} replica processes up{hosting}; deployment "
+              f"config at {args.config_out}", flush=True)
         if config.metrics_addresses:
             for replica_id, (host, port) in enumerate(
                     config.metrics_addresses):
                 print(f"replica {replica_id} metrics at "
                       f"http://{host}:{port}/metrics", flush=True)
         print("run a workload with: python -m repro net client "
-              f"--config {args.config_out}", flush=True)
-        _wait_for_signal()
-    return 0
-
-
-def _cmd_group_supervise(args: argparse.Namespace) -> int:
-    config = loopback_config(
-        n_replicas=args.replicas,
-        metrics=args.metrics,
-        n_groups=args.groups,
-        service=args.service,
-        protocol=args.protocol,
-        cos_algorithm=args.algorithm,
-        workers=args.workers,
-        engine=args.engine,
-        mp_workers=args.mp_workers,
-        wire=args.wire,
-        propose_linger=args.propose_linger,
-        cumulative_acks=not args.no_cumulative_acks,
-        lease_duration=args.lease_duration,
-        lease_margin=args.lease_margin,
-        lease_reads=not args.no_lease_reads,
-    )
-    with open(args.config_out, "w") as handle:
-        handle.write(config.to_json())
-    with Supervisor(config) as supervisor:
-        supervisor.wait_ready()
-        print(f"{args.replicas} replica processes up, each hosting "
-              f"{args.groups} consensus groups; deployment config at "
-              f"{args.config_out}", flush=True)
-        if config.metrics_addresses:
-            for replica_id, (host, port) in enumerate(
-                    config.metrics_addresses):
-                print(f"replica {replica_id} metrics at "
-                      f"http://{host}:{port}/metrics", flush=True)
-        print("run a workload with: python -m repro net group-client "
-              f"--config {args.config_out} --cross 0.1", flush=True)
+              f"--config {args.config_out}"
+              + (" --cross 0.1" if args.groups > 1 else ""), flush=True)
         _wait_for_signal()
     return 0
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
-    with open(args.config) as handle:
-        config = NetConfig.from_json(handle.read())
-    workload = WorkloadGenerator(args.write_pct, key_space=500,
-                                 seed=args.seed)
-    client = NetClient("cli-client", config, contact=args.contact)
-    executed = 0
-    errors = 0
-    started = time.monotonic()
-    try:
-        while executed < args.ops:
-            commands = workload.commands(min(args.batch,
-                                             args.ops - executed))
-            try:
-                client.execute_batch(commands)
-                executed += len(commands)
-            except ClientTimeout:
-                errors += len(commands)
-    finally:
-        client.close()
-    elapsed = time.monotonic() - started
-    rate = executed / elapsed if elapsed > 0 else 0.0
-    print(f"executed {executed} commands in {elapsed:.2f}s "
-          f"({rate:.0f} cmds/s), {errors} timed out")
-    return 0 if errors == 0 else 1
-
-
-def _cmd_group_client(args: argparse.Namespace) -> int:
     with open(args.config) as handle:
         config = NetConfig.from_json(handle.read())
     if config.n_groups < 2 and args.cross > 0:
@@ -298,7 +216,7 @@ def _cmd_group_client(args: argparse.Namespace) -> int:
         n_partitions=config.n_groups if args.cross > 0 else None,
         keys_per_cross=args.keys_per_cross,
     )
-    client = NetClient("cli-group-client", config, contact=args.contact)
+    client = NetClient("cli-client", config, contact=args.contact)
     executed = 0
     cross_sent = 0
     errors = 0
@@ -317,9 +235,9 @@ def _cmd_group_client(args: argparse.Namespace) -> int:
         client.close()
     elapsed = time.monotonic() - started
     rate = executed / elapsed if elapsed > 0 else 0.0
+    crossed = f"{cross_sent} cross-partition, " if args.cross > 0 else ""
     print(f"executed {executed} commands in {elapsed:.2f}s "
-          f"({rate:.0f} cmds/s), {cross_sent} cross-partition, "
-          f"{errors} timed out")
+          f"({rate:.0f} cmds/s), {crossed}{errors} timed out")
     return 0 if errors == 0 else 1
 
 
@@ -330,21 +248,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         batch=args.batch,
         ops=args.ops,
         write_pct=args.write_pct,
-        service=args.service,
-        cos_algorithm=args.algorithm,
-        workers=args.workers,
-        engine=args.engine,
-        mp_workers=args.mp_workers,
-        wire=args.wire,
-        propose_linger=args.propose_linger,
-        cumulative_acks=not args.no_cumulative_acks,
-        lease_duration=args.lease_duration,
-        lease_margin=args.lease_margin,
-        lease_reads=not args.no_lease_reads,
         seed=args.seed,
         crash_replica=args.replicas - 1 if args.crash else None,
         trace=args.trace,
         trace_path=args.trace_out if args.trace else None,
+        **_config_from_args(args),
     )
     result = run_net_bench(config, out_path=args.out)
     print(f"replicas={args.replicas} clients={args.clients} "
@@ -372,8 +280,6 @@ def run_net(args: argparse.Namespace) -> int:
         "replica": _cmd_replica,
         "supervise": _cmd_supervise,
         "client": _cmd_client,
-        "group-supervise": _cmd_group_supervise,
-        "group-client": _cmd_group_client,
         "bench": _cmd_bench,
     }
     return handlers[args.net_command](args)

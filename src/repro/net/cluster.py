@@ -11,10 +11,10 @@ real sockets, without the cost of spawning interpreters.
 (The genuinely multi-process deployment — one interpreter and GIL per
 replica — is :class:`repro.net.supervisor.Supervisor`.)
 
-With ``n_groups > 1`` every replica is a
-:class:`~repro.groups.net.GroupedReplicaServer` instead — the partitioned
-deployment of docs/partitioning.md — and the same client/crash API applies.
-(Checkpoint-based ``restart_replica`` is single-group only for now.)
+With ``n_groups > 1`` every server hosts one ordering node per consensus
+group — the partitioned deployment of docs/partitioning.md — and the same
+client/crash API applies.  (Checkpoint-based ``restart_replica`` is
+single-group only for now.)
 """
 
 from __future__ import annotations
@@ -38,14 +38,8 @@ class TcpCluster:
     def __init__(self, config: Optional[NetConfig] = None, **overrides):
         self.config = config or loopback_config(**overrides)
         self.config.validate()
-        if self.config.n_groups > 1:
-            from repro.groups.net import GroupedReplicaServer
-
-            server_cls: Any = GroupedReplicaServer
-        else:
-            server_cls = ReplicaServer
-        self.servers: List[Any] = [
-            server_cls(replica_id, self.config)
+        self.servers: List[ReplicaServer] = [
+            ReplicaServer(replica_id, self.config)
             for replica_id in range(self.config.n_replicas)
         ]
         self._clients: List[NetClient] = []
@@ -100,12 +94,10 @@ class TcpCluster:
         rebinds the same endpoint, and rejoins at ``instance + 1``;
         heartbeat anti-entropy pulls anything decided since.  Peers'
         transports redial the endpoint automatically (reconnect backoff).
+        Single-group only (``ReplicaServer`` rejects a checkpoint with
+        ``n_groups > 1``); grouped replicas recover via protocol catch-up —
+        kill/restart a process deployment instead.
         """
-        if self.config.n_groups > 1:
-            raise ConfigurationError(
-                "restart_replica is single-group only; grouped replicas "
-                "recover via protocol catch-up (kill/restart a process "
-                "deployment instead)")
         if self.servers[replica_id].running:
             raise ConfigurationError(
                 f"replica {replica_id} is still running; crash it first")

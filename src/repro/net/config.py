@@ -8,6 +8,7 @@ subprocesses as a file.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
@@ -19,15 +20,32 @@ from repro.core.cos import DEFAULT_MAX_SIZE
 from repro.errors import ConfigurationError
 from repro.net.codec import WIRE_NAMES
 
-__all__ = ["NetConfig", "SERVICES", "free_port", "loopback_config"]
+__all__ = ["NetConfig", "SERVICES", "free_port", "free_ports",
+           "loopback_config"]
+
+
+def free_ports(count: int, host: str = "127.0.0.1") -> List[int]:
+    """``count`` distinct ephemeral ports, bound-and-released together.
+
+    Every probe socket stays bound until all ports are drawn, so the kernel
+    cannot hand the same port out twice within one call (it can, and does,
+    across separate bind-and-release calls).  Another process may still
+    grab a port between release and use; that race is rare.
+    """
+    with contextlib.ExitStack() as probes:
+        ports = []
+        for _ in range(count):
+            sock = probes.enter_context(
+                socket.socket(socket.AF_INET, socket.SOCK_STREAM))
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind((host, 0))
+            ports.append(sock.getsockname()[1])
+        return ports
 
 
 def free_port(host: str = "127.0.0.1") -> int:
-    """Bind-and-release an ephemeral port; races are possible but rare."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, 0))
-        return sock.getsockname()[1]
+    """One ephemeral port; draw several at once with :func:`free_ports`."""
+    return free_ports(1, host)[0]
 
 
 @dataclass(frozen=True)
@@ -110,14 +128,6 @@ class NetConfig:
         if self.n_groups < 1:
             raise ConfigurationError(
                 f"n_groups must be >= 1, got {self.n_groups}")
-        if self.n_groups > 1 and self.engine != "threaded":
-            raise ConfigurationError(
-                "partitioned deployments (n_groups > 1) require the "
-                "threaded engine")
-        if self.n_groups > 1 and self.cos_algorithm == "sequential":
-            raise ConfigurationError(
-                "partitioned deployments (n_groups > 1) need a parallel "
-                "COS algorithm, not 'sequential'")
         if self.engine == "mp" and self.mp_workers < 1:
             raise ConfigurationError(
                 f"mp_workers must be >= 1, got {self.mp_workers}")
@@ -178,10 +188,12 @@ def loopback_config(n_replicas: int = 3, metrics: bool = False,
     With ``metrics=True`` each replica also gets a ``/metrics`` HTTP
     endpoint on its own ephemeral port (docs/observability.md).
     """
-    addresses = tuple(("127.0.0.1", free_port()) for _ in range(n_replicas))
-    if metrics and "metrics_addresses" not in overrides:
-        overrides["metrics_addresses"] = tuple(
-            ("127.0.0.1", free_port()) for _ in range(n_replicas))
+    want_metrics = metrics and "metrics_addresses" not in overrides
+    endpoints = [("127.0.0.1", port) for port in free_ports(
+        n_replicas * (2 if want_metrics else 1))]
+    addresses = tuple(endpoints[:n_replicas])
+    if want_metrics:
+        overrides["metrics_addresses"] = tuple(endpoints[n_replicas:])
     # REPRO_NET_WIRE lets CI run the same deployment tests once per codec
     # without threading a flag through every fixture.
     if "wire" not in overrides:

@@ -26,9 +26,10 @@ class ClientRequest:
         reply_host / reply_port: Where the client listens for responses;
             the replica registers this endpoint as a dynamic peer.
         client_id: The submitting client's identifier (response routing).
-        read_only: True when every command in the batch is a read — the
-            contact replica may then serve the batch locally under a leader
-            lease instead of ordering it (docs/ordering.md).
+        read_only: The client's claim that every command in the batch is
+            a read.  Advisory only: replicas decide from ``Command.writes``
+            whether a batch may be served locally under a leader lease
+            (docs/ordering.md), so a wrong flag cannot diverge them.
     """
 
     payload: Tuple[Command, ...]

@@ -1,15 +1,23 @@
 """One replica bound to a TCP endpoint.
 
-:class:`ReplicaServer` assembles exactly the pieces
-:class:`~repro.smr.cluster.ThreadedCluster` wires per replica — a broadcast
-protocol state machine, a :class:`~repro.broadcast.node.ThreadedNode` event
-loop, and a :class:`~repro.smr.replica.ParallelReplica` execution engine —
-but over a :class:`~repro.net.transport.TcpTransport`.  The protocol and
-replica code run unchanged; only the driver differs.
+:class:`ReplicaServer` assembles exactly the stages
+:class:`~repro.smr.cluster.ThreadedCluster` wires per replica — ordering
+node(s), an optional merge stage, an execution stage, all built by
+:mod:`repro.smr.stack` — but over a :class:`~repro.net.transport
+.TcpTransport`.  The protocol and replica code run unchanged; only the
+driver differs.
+
+With ``config.n_groups > 1`` the process hosts one protocol node per
+consensus group behind its single endpoint: every protocol message
+travels in a :class:`~repro.net.messages.GroupEnvelope`, which the
+transport interceptor demultiplexes into per-group
+:class:`~repro.net.transport.GroupChannel` inboxes (docs/partitioning.md).
+A single-group replica constructs none of that.
 
 Client traffic: the transport interceptor turns an incoming
-:class:`~repro.net.messages.ClientRequest` into a protocol ``submit`` and
-records where that client listens; the replica's response callback sends a
+:class:`~repro.net.messages.ClientRequest` into a partition-aware
+:func:`~repro.smr.stack.route` and records where that client listens; the
+replica's response callback sends a
 :class:`~repro.net.messages.ClientResponse` back to that endpoint.  Every
 replica answers every command it executes (first response wins at the
 client), matching the paper's crash-model deployment.
@@ -22,28 +30,27 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 # build_service re-exported for compatibility: the registry moved to
 # repro.apps so the par shard workers can share it.
 from repro.apps import build_service
-from repro.broadcast import MultiPaxos, SequencerBroadcast, ThreadedNode
+from repro.broadcast import ThreadedNode
 from repro.core.command import Command
 from repro.errors import ConfigurationError, ShutdownError
 from repro.net.config import NetConfig
-from repro.net.messages import ClientRequest, ClientResponse
-from repro.net.transport import TcpTransport
+from repro.net.messages import ClientRequest, ClientResponse, GroupEnvelope
+from repro.net.transport import GroupChannel, TcpTransport
 from repro.obs import MetricsHTTPServer, MetricsRegistry, SnapshotWriter
-from repro.par import MpService
 from repro.smr.checkpoint import Checkpoint
-from repro.smr.replica import ParallelReplica, SequentialReplica
 from repro.smr.service import Service
+from repro.smr.stack import build_execution, build_nodes, route
 
 __all__ = ["ReplicaServer", "build_service"]
 
 
 class ReplicaServer:
-    """A protocol node + execution engine listening on a TCP endpoint."""
+    """Protocol node(s) + execution stage listening on a TCP endpoint."""
 
     def __init__(self, replica_id: int, config: NetConfig,
                  checkpoint: Optional[Checkpoint] = None):
@@ -52,24 +59,25 @@ class ReplicaServer:
             raise ConfigurationError(
                 f"replica_id {replica_id} out of range for "
                 f"{config.n_replicas} replicas")
+        grouped = config.n_groups > 1
+        if grouped and checkpoint is not None:
+            raise ConfigurationError(
+                "checkpoint restart is single-group only: a checkpoint "
+                "names one instance frontier, not one per group")
         self.replica_id = replica_id
         self.config = config
         # One registry per replica process records the whole stack — COS,
         # replica engine, and transport (docs/observability.md).
         self.registry = MetricsRegistry(trace=config.trace)
-        self._engine: Optional[MpService] = None
-        if config.engine == "mp":
-            self._engine = MpService(
-                config.service,
-                workers=config.mp_workers,
-                registry=self.registry,
-            )
-            self.service: Service = self._engine
-        else:
-            self.service = build_service(config.service)
         self._metrics_server: Optional[MetricsHTTPServer] = None
         self._snapshot_writer: Optional[SnapshotWriter] = None
-        self.replica = self._build_replica()
+        self.replica = build_execution(
+            config, replica_id, on_response=self._respond,
+            registry=self.registry)
+        self.service: Service = self.replica.service
+        #: The MpService under ``engine="mp"`` (it needs lifecycle calls
+        #: the Service interface doesn't have).
+        self._engine = self.service if config.engine == "mp" else None
         if checkpoint is not None:
             self.replica.install_checkpoint(checkpoint)
         first_instance = (0 if checkpoint is None
@@ -77,68 +85,35 @@ class ReplicaServer:
         self.transport = TcpTransport(
             replica_id,
             config.address_map(),
-            interceptor=self._intercept,
+            interceptor=(self._intercept_grouped if grouped
+                         else self._intercept),
             seed=replica_id,
             registry=self.registry,
             wire=config.wire,
         )
-        self.node = ThreadedNode(
-            replica_id,
-            self._build_protocol(first_instance),
-            self.transport,
-            self.replica.on_deliver,
-            name=f"net-node-{replica_id}",
-            on_read=self.replica.on_local_read,
-        )
+        #: One envelope adapter per group; none at one group, where the
+        #: node sits on the transport itself.
+        self._channels: List[GroupChannel] = []
+        if grouped:
+            self._channels = [GroupChannel(self.transport, group)
+                              for group in range(config.n_groups)]
+        #: nodes[group]; ``merge`` is None at one group.
+        self.nodes, self.merge = build_nodes(
+            config, replica_id, self.replica,
+            self._channels or [self.transport], name="net-node",
+            first_instance=first_instance, registry=self.registry,
+            record_history=config.record_merge_history)
+        #: Routes client batches to groups; None at one group.
+        self.partition_map = self.merge.partition_map if grouped else None
         # client_id -> transport node id of the client's response endpoint.
         self._reply_to: Dict[str, int] = {}
         self._reply_lock = threading.Lock()
         self._started = False
 
-    # --------------------------------------------------------------- builders
-
-    def _build_replica(self) -> ParallelReplica:
-        if self.config.cos_algorithm == "sequential":
-            return SequentialReplica(
-                self.replica_id,
-                self.service,
-                max_queue_size=self.config.max_graph_size,
-                on_response=self._respond,
-                registry=self.registry,
-            )
-        return ParallelReplica(
-            self.replica_id,
-            self.service,
-            cos_algorithm=self.config.cos_algorithm,
-            workers=self.config.workers,
-            max_graph_size=self.config.max_graph_size,
-            on_response=self._respond,
-            registry=self.registry,
-        )
-
-    def _build_protocol(self, first_instance: int) -> Any:
-        if self.config.protocol == "sequencer":
-            return SequencerBroadcast(self.replica_id, self.config.n_replicas)
-        # Same leader-timeout staggering as ThreadedCluster: campaigns
-        # rarely collide because followers time out at different moments.
-        linger = self.config.propose_linger
-        if linger is None:
-            linger = self.config.heartbeat_interval / 10
-        return MultiPaxos(
-            self.replica_id,
-            self.config.n_replicas,
-            batch_size=self.config.batch_size,
-            heartbeat_interval=self.config.heartbeat_interval,
-            leader_timeout=self.config.leader_timeout
-            * (1 + 0.35 * self.replica_id),
-            first_instance=first_instance,
-            propose_linger=linger,
-            cumulative_acks=self.config.cumulative_acks,
-            lease_duration=self.config.lease_duration,
-            lease_margin=self.config.lease_margin,
-            lease_reads=self.config.lease_reads,
-            registry=self.registry,
-        )
+    @property
+    def node(self) -> ThreadedNode:
+        """Group 0's ordering node — *the* node at one group."""
+        return self.nodes[0]
 
     # -------------------------------------------------------------- lifecycle
 
@@ -164,12 +139,14 @@ class ReplicaServer:
                 self.registry, path,
                 interval=self.config.metrics_snapshot_interval).start()
         self.replica.start()
-        self.node.start()
+        for node in self.nodes:
+            node.start()
         return self
 
     def stop(self) -> None:
-        """Graceful teardown: event loop, sockets, then workers."""
-        self.node.stop()
+        """Graceful teardown: event loops, sockets, then workers."""
+        for node in self.nodes:
+            node.stop()
         self.transport.close()
         self.replica.stop(timeout=2.0)
         if self._engine is not None:
@@ -189,7 +166,7 @@ class ReplicaServer:
 
     @property
     def running(self) -> bool:
-        return self._started and self.node.running
+        return self._started and all(node.running for node in self.nodes)
 
     @property
     def metrics_address(self) -> Optional[Any]:
@@ -208,15 +185,21 @@ class ReplicaServer:
         with self._reply_lock:
             self._reply_to[msg.client_id] = msg.reply_to
         try:
-            if msg.read_only and self.config.lease_reads:
-                # All-read batch: eligible for the leaseholder-local fast
-                # path; a non-leaseholder orders it normally.
-                self.node.submit_read(msg.payload)
-            else:
-                self.node.submit(msg.payload)
+            # ``msg.read_only`` is deliberately not consulted: route
+            # derives read-only-ness from the commands themselves.
+            route(self.partition_map, msg.payload, self.nodes,
+                  self.config.lease_reads)
         except ShutdownError:
             pass  # stopping; the client will retry elsewhere
         return True
+
+    def _intercept_grouped(self, src: int, msg: Any) -> bool:
+        """Interceptor when ``n_groups > 1``: demux group envelopes first."""
+        if isinstance(msg, GroupEnvelope):
+            if 0 <= msg.group < len(self._channels):
+                self._channels[msg.group].deliver(src, msg.msg)
+            return True  # out-of-range group: corrupt peer, drop
+        return self._intercept(src, msg)
 
     def _respond(self, command: Command, response: Any,
                  replica_id: int) -> None:

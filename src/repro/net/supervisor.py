@@ -84,7 +84,8 @@ class ProcessGroup:
         self._python = python or sys.executable
         self._log_dir = log_dir
         self._procs: Dict[int, subprocess.Popen] = {}
-        self._logs: List[Any] = []
+        #: replica id -> its open ``replica-N.log`` handle (one per member).
+        self._logs: Dict[int, Any] = {}
 
     # -------------------------------------------------------------- lifecycle
 
@@ -104,8 +105,11 @@ class ProcessGroup:
         stdout: Any = subprocess.DEVNULL
         if self._log_dir is not None:
             log = open(Path(self._log_dir) / f"replica-{replica_id}.log", "ab")
-            self._logs.append(log)
-            stdout = log
+            # A re-spawn supersedes the previous process's handle.
+            previous = self._logs.pop(replica_id, None)
+            if previous is not None:
+                previous.close()
+            self._logs[replica_id] = stdout = log
         self._procs[replica_id] = subprocess.Popen(
             [self._python, "-m", "repro", "net", "replica",
              "--id", str(replica_id), "--config", self._config_path],
@@ -148,7 +152,7 @@ class ProcessGroup:
                 proc.kill()
                 proc.wait(timeout=5)
         self._procs.clear()
-        for log in self._logs:
+        for log in self._logs.values():
             log.close()
         self._logs.clear()
 

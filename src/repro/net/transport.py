@@ -29,9 +29,10 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, ShutdownError
 from repro.net.codec import CodecError, wire_codec
+from repro.net.messages import GroupEnvelope
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 
-__all__ = ["TcpTransport"]
+__all__ = ["GroupChannel", "TcpTransport"]
 
 #: Outbound frames buffered per peer while it is unreachable.
 DEFAULT_QUEUE_LIMIT = 1024
@@ -400,3 +401,32 @@ class TcpTransport:
         nominal = min(self._backoff_max,
                       self._backoff_base * (2 ** min(failures - 1, 16)))
         return nominal * (0.5 + self._jitter.random())
+
+
+class GroupChannel:
+    """One consensus group's view of a replica's shared :class:`TcpTransport`.
+
+    A replica process with ``n_groups > 1`` hosts one protocol node per
+    group behind a single endpoint.  A channel satisfies exactly the
+    contract :class:`~repro.broadcast.node.ThreadedNode` needs — an
+    ``inbox(node_id)`` queue and a ``send(src, dst, msg)`` — while the
+    socket work happens on the shared transport: outbound messages are
+    wrapped in a :class:`GroupEnvelope`, inbound ones arrive already
+    unwrapped via :meth:`deliver` (the replica's transport interceptor).
+    Single-group deployments never construct one.
+    """
+
+    def __init__(self, transport: TcpTransport, group: int):
+        self._transport = transport
+        self.group = group
+        self._inbox: "queue.Queue[Tuple[int, Any]]" = queue.Queue()
+
+    def inbox(self, node_id: int) -> "queue.Queue[Tuple[int, Any]]":
+        del node_id  # one node per (group, process); no routing needed
+        return self._inbox
+
+    def send(self, src: int, dst: int, msg: Any) -> None:
+        self._transport.send(src, dst, GroupEnvelope(self.group, msg))
+
+    def deliver(self, src: int, msg: Any) -> None:
+        self._inbox.put((src, msg))

@@ -3,13 +3,12 @@
 from repro.smr.checkpoint import Checkpoint, CheckpointError
 from repro.smr.client import Client, ClientTimeout
 from repro.smr.cluster import ClusterConfig, ThreadedCluster
-from repro.smr.replica import STOP_OP, ParallelReplica, SequentialReplica
+from repro.smr.replica import STOP_OP, ParallelReplica
 from repro.smr.service import Service
 
 __all__ = [
     "Service",
     "ParallelReplica",
-    "SequentialReplica",
     "STOP_OP",
     "Client",
     "ClientTimeout",

@@ -4,8 +4,9 @@ Assembles transport + atomic broadcast nodes + replicas + clients into a
 running replicated service, the in-process equivalent of the paper's
 3-machine BFT-SMaRt deployment (§7.1):
 
-- every replica runs a broadcast protocol node (Multi-Paxos by default) and
-  an execution engine (parallel scheduler/workers or sequential);
+- every replica runs one broadcast protocol node per consensus group
+  (Multi-Paxos by default; one group unless ``n_groups > 1``) and an
+  execution stage, both built by :mod:`repro.smr.stack`;
 - clients submit batches through a contact replica and wait for the first
   response;
 - :meth:`ThreadedCluster.crash` kills a replica (crash-stop) to exercise
@@ -16,23 +17,20 @@ from __future__ import annotations
 
 import itertools
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.broadcast import (
-    FaultPlan,
-    MultiPaxos,
-    SequencerBroadcast,
-    ThreadedNode,
-    ThreadedTransport,
-)
+from repro.broadcast import FaultPlan, ThreadedNode, ThreadedTransport
 from repro.broadcast.storage import InMemoryStableStore
 from repro.core.command import Command
 from repro.core.cos import DEFAULT_MAX_SIZE
 from repro.errors import ConfigurationError, ShutdownError
+from repro.groups.stage import MergeStage
 from repro.smr.client import Client
-from repro.smr.replica import ParallelReplica, SequentialReplica
+from repro.smr.replica import ParallelReplica
 from repro.smr.service import Service
+from repro.smr.stack import build_execution, build_nodes, route
 
 __all__ = ["ClusterConfig", "ThreadedCluster"]
 
@@ -45,6 +43,13 @@ class ClusterConfig:
 
     service_factory: Optional[ServiceFactory] = None
     n_replicas: int = 3
+    #: Consensus groups (state partitions) per replica.  1 is the classic
+    #: single-order deployment; > 1 orders each partition in its own group
+    #: and merges the streams per replica (docs/partitioning.md).
+    n_groups: int = 1
+    #: Record merged positions + per-class release order on every replica
+    #: (differential suites; grows with the run).  Only with n_groups > 1.
+    record_history: bool = False
     protocol: str = "paxos"            # "paxos" | "sequencer"
     cos_algorithm: str = "lock-free"   # any of COS_ALGORITHMS, or "sequential"
     workers: int = 4
@@ -86,6 +91,15 @@ class ClusterConfig:
     stable_storage: bool = False
     fault_plan: FaultPlan = field(default_factory=lambda: FaultPlan(
         min_delay=0.0, max_delay=0.0))
+    #: Per-group override: ``fault_plans[g]`` shapes group ``g``'s ordering
+    #: traffic (shorter tuples are padded with their last entry); empty
+    #: means ``fault_plan`` everywhere.
+    fault_plans: Tuple[FaultPlan, ...] = ()
+
+    def plan_for(self, group: int) -> FaultPlan:
+        if not self.fault_plans:
+            return self.fault_plan
+        return self.fault_plans[min(group, len(self.fault_plans) - 1)]
 
     def validate(self) -> None:
         if self.protocol not in ("paxos", "sequencer"):
@@ -96,6 +110,9 @@ class ClusterConfig:
             )
         if self.n_replicas < 1:
             raise ConfigurationError("need at least one replica")
+        if self.n_groups < 1:
+            raise ConfigurationError(
+                f"n_groups must be >= 1, got {self.n_groups}")
         if self.engine not in ("threaded", "mp"):
             raise ConfigurationError(f"unknown engine {self.engine!r}")
         if self.engine == "mp":
@@ -120,6 +137,10 @@ class ClusterConfig:
                 raise ConfigurationError(
                     "speculative execution requires the threaded engine "
                     "(undo capture is not plumbed through shard processes)")
+            if self.n_groups > 1:
+                raise ConfigurationError(
+                    "speculative execution is single-group only (the merge "
+                    "stage has no optimistic stream)")
 
 
 class ThreadedCluster:
@@ -128,108 +149,73 @@ class ThreadedCluster:
     def __init__(self, config: ClusterConfig):
         config.validate()
         self.config = config
-        self._transport = ThreadedTransport(config.n_replicas, config.fault_plan)
-        self._stores: Dict[int, Dict[Any, Any]] = {}
+        #: One transport per consensus group: groups never exchange
+        #: messages, the rendezvous is replica-local.
+        self.transports: List[ThreadedTransport] = [
+            ThreadedTransport(config.n_replicas, config.plan_for(group))
+            for group in range(config.n_groups)
+        ]
+        self._stores: Dict[Tuple[int, int], Dict[Any, Any]] = {}
         self._clients: Dict[str, Client] = {}
         self._clients_lock = threading.Lock()
         self._client_counter = itertools.count(1)
-        self.replicas: List[ParallelReplica] = []
-        self.nodes: List[ThreadedNode] = []
-        #: replica_id -> MpService when config.engine == "mp" (the engines
-        #: need lifecycle calls the Service interface doesn't have).
-        self._engines: Dict[int, Any] = {}
+        # Slots filled (and, on restart, refilled) by _build_stack.
+        self.replicas: List[ParallelReplica] = [None] * config.n_replicas
+        #: merges[replica] — the replica's merge stage; None at one group.
+        self.merges: List[Optional[MergeStage]] = [None] * config.n_replicas
+        #: group_nodes[group][replica] — one ordering node per pair.
+        self.group_nodes: List[List[ThreadedNode]] = [
+            [None] * config.n_replicas for _ in range(config.n_groups)]
         for replica_id in range(config.n_replicas):
-            replica = self._build_replica(replica_id)
-            self.replicas.append(replica)
-            self.nodes.append(
-                ThreadedNode(
-                    replica_id,
-                    self._build_protocol(replica_id),
-                    self._transport,
-                    replica.on_deliver,
-                    on_read=replica.on_local_read,
-                    on_optimistic=getattr(replica, "on_optimistic", None),
-                )
-            )
+            self._build_stack(replica_id)
+        #: Routes client batches to groups; None at one group.
+        self.partition_map = (self.merges[0].partition_map
+                              if config.n_groups > 1 else None)
         self._started = False
 
-    # --------------------------------------------------------------- builders
+    @property
+    def nodes(self) -> List[ThreadedNode]:
+        """Group 0's node per replica — *the* nodes at one group."""
+        return self.group_nodes[0]
 
-    def _build_service(self, replica_id: int) -> Service:
-        if self.config.engine == "mp":
-            # Lazy import: only mp clusters pull in multiprocessing plumbing.
-            from repro.par import MpService
+    def _build_stack(self, replica_id: int,
+                     checkpoint: Optional[Any] = None) -> None:
+        """Build one replica's stack; started by the caller."""
+        config = self.config
+        replica = build_execution(
+            config, replica_id, on_response=self._route_response,
+            service_factory=config.service_factory,
+            service_kwargs=config.service_kwargs,
+            speculative=config.speculative)
+        stores = None
+        if config.stable_storage:
+            stores = [
+                InMemoryStableStore(
+                    self._stores.setdefault((group, replica_id), {}))
+                for group in range(config.n_groups)]
+        first_instance = 0
+        if checkpoint is not None:
+            replica.install_checkpoint(checkpoint)
+            first_instance = checkpoint.instance + 1
+        nodes, self.merges[replica_id] = build_nodes(
+            config, replica_id, replica, self.transports,
+            first_instance=first_instance, stable_stores=stores,
+            record_history=config.record_history)
+        self.replicas[replica_id] = replica
+        for group, node in enumerate(nodes):
+            self.group_nodes[group][replica_id] = node
 
-            engine = MpService(
-                self.config.service,
-                self.config.service_kwargs,
-                workers=self.config.mp_workers,
-            )
-            self._engines[replica_id] = engine
-            return engine
-        if self.config.service_factory is not None:
-            return self.config.service_factory()
-        from repro.apps import build_service
+    def _start_replica(self, replica_id: int) -> None:
+        self.replicas[replica_id].start()
+        for nodes in self.group_nodes:
+            nodes[replica_id].start()
 
-        return build_service(self.config.service, **self.config.service_kwargs)
-
-    def _build_replica(self, replica_id: int) -> ParallelReplica:
-        service = self._build_service(replica_id)
-        if self.config.cos_algorithm == "sequential":
-            return SequentialReplica(
-                replica_id,
-                service,
-                max_queue_size=self.config.max_graph_size,
-                on_response=self._route_response,
-            )
-        if self.config.speculative:
-            # Imported here: repro.spec pulls in repro.groups (command
-            # identity), which imports repro.smr right back.
-            from repro.spec.replica import SpeculativeReplica
-
-            return SpeculativeReplica(
-                replica_id,
-                service,
-                cos_algorithm=self.config.cos_algorithm,
-                workers=self.config.workers,
-                max_graph_size=self.config.max_graph_size,
-                on_response=self._route_response,
-            )
-        return ParallelReplica(
-            replica_id,
-            service,
-            cos_algorithm=self.config.cos_algorithm,
-            workers=self.config.workers,
-            max_graph_size=self.config.max_graph_size,
-            on_response=self._route_response,
-        )
-
-    def _build_protocol(self, replica_id: int, first_instance: int = 0) -> Any:
-        if self.config.protocol == "sequencer":
-            return SequencerBroadcast(replica_id, self.config.n_replicas,
-                                      optimistic=self.config.speculative)
-        store = None
-        if self.config.stable_storage:
-            store = InMemoryStableStore(
-                self._stores.setdefault(replica_id, {}))
-        # Stagger leader timeouts so campaigns rarely collide.
-        linger = self.config.propose_linger
-        if linger is None:
-            linger = self.config.heartbeat_interval / 10
-        return MultiPaxos(
-            replica_id,
-            self.config.n_replicas,
-            batch_size=self.config.batch_size,
-            heartbeat_interval=self.config.heartbeat_interval,
-            leader_timeout=self.config.leader_timeout * (1 + 0.35 * replica_id),
-            first_instance=first_instance,
-            stable_store=store,
-            propose_linger=linger,
-            cumulative_acks=self.config.cumulative_acks,
-            lease_duration=self.config.lease_duration,
-            lease_margin=self.config.lease_margin,
-            lease_reads=self.config.lease_reads,
-        )
+    def _engines(self) -> List[Any]:
+        """The MpService of every replica (lifecycle calls the Service
+        interface doesn't have); empty under the threaded engine."""
+        if self.config.engine != "mp":
+            return []
+        return [replica.service for replica in self.replicas]
 
     # -------------------------------------------------------------- lifecycle
 
@@ -239,21 +225,21 @@ class ThreadedCluster:
         self._started = True
         # Engines first: with the fork start method the shard processes
         # should multiply the process before replica/node threads exist.
-        for engine in self._engines.values():
+        for engine in self._engines():
             engine.start()
-        for replica in self.replicas:
-            replica.start()
-        for node in self.nodes:
-            node.start()
+        for replica_id in range(self.config.n_replicas):
+            self._start_replica(replica_id)
         return self
 
     def stop(self) -> None:
-        for node in self.nodes:
-            node.stop()
-        self._transport.close()
+        for nodes in self.group_nodes:
+            for node in nodes:
+                node.stop()
+        for transport in self.transports:
+            transport.close()
         for replica in self.replicas:
             replica.stop()
-        for engine in self._engines.values():
+        for engine in self._engines():
             engine.stop()  # idempotent; after replicas so drains complete
 
     def __enter__(self) -> "ThreadedCluster":
@@ -282,19 +268,19 @@ class ThreadedCluster:
             self._clients[client_id] = client
         return client
 
-    def _submit(self, payload: Tuple[Command, ...], contact: int) -> None:
-        node = self.nodes[contact % len(self.nodes)]
+    def _live_node(self, nodes: List[ThreadedNode],
+                   contact: int) -> ThreadedNode:
+        node = nodes[contact % len(nodes)]
         if not node.running:
-            node = next((n for n in self.nodes if n.running), None)
+            node = next((n for n in nodes if n.running), None)
             if node is None:
                 raise ShutdownError("no replica is running")
-        if (self.config.lease_reads and payload
-                and all(not c.writes for c in payload)):
-            # All-read batches may be served locally by a leaseholder; any
-            # non-leaseholder falls back to the ordered path transparently.
-            node.submit_read(payload)
-        else:
-            node.submit(payload)
+        return node
+
+    def _submit(self, payload: Tuple[Command, ...], contact: int) -> None:
+        route(self.partition_map, payload,
+              [self._live_node(nodes, contact) for nodes in self.group_nodes],
+              self.config.lease_reads)
 
     def _route_response(self, command: Command, response: Any,
                         replica_id: int) -> None:
@@ -306,13 +292,15 @@ class ThreadedCluster:
     # ------------------------------------------------------------------ faults
 
     def crash(self, replica_id: int) -> None:
-        """Crash-stop one replica: no more messages in or out, no execution."""
-        self._transport.crash(replica_id)
-        self.nodes[replica_id].stop()
-        self.replicas[replica_id].stop(timeout=1.0)
-        engine = self._engines.get(replica_id)
-        if engine is not None:
-            engine.stop()
+        """Crash-stop one replica: no more messages in or out (in any
+        group), no execution."""
+        for transport, nodes in zip(self.transports, self.group_nodes):
+            transport.crash(replica_id)
+            nodes[replica_id].stop()
+        replica = self.replicas[replica_id]
+        replica.stop(timeout=1.0)
+        if self.config.engine == "mp":
+            replica.service.stop()
 
     def restart_replica(self, replica_id: int,
                         from_peer: Optional[int] = None) -> None:
@@ -325,6 +313,10 @@ class ThreadedCluster:
         ``config.stable_storage`` the rebuilt protocol node also recovers
         its acceptor promises, so rejoining cannot violate agreement.
         """
+        if self.config.n_groups > 1:
+            raise ConfigurationError(
+                "restart_replica is single-group only: a checkpoint names "
+                "one instance frontier, not one per group")
         if self.nodes[replica_id].running:
             raise ConfigurationError(
                 f"replica {replica_id} is still running; crash it first")
@@ -337,26 +329,14 @@ class ThreadedCluster:
                 raise ShutdownError("no live peer to recover from")
             from_peer = candidates[0]
         checkpoint = self.replicas[from_peer].take_checkpoint()
-        self._transport.reset_inbox(replica_id)
-        self._transport.recover(replica_id)
-        replica = self._build_replica(replica_id)
-        replica.install_checkpoint(checkpoint)
-        self.replicas[replica_id] = replica
-        protocol = self._build_protocol(
-            replica_id, first_instance=checkpoint.instance + 1)
-        node = ThreadedNode(replica_id, protocol, self._transport,
-                            replica.on_deliver,
-                            on_read=replica.on_local_read,
-                            on_optimistic=getattr(
-                                replica, "on_optimistic", None))
-        self.nodes[replica_id] = node
-        engine = self._engines.get(replica_id)
-        if engine is not None:
-            # _build_replica registered a fresh engine for this id; starting
-            # it installs the checkpoint state stashed by install_checkpoint.
-            engine.start()
-        replica.start()
-        node.start()
+        self.transports[0].reset_inbox(replica_id)
+        self.transports[0].recover(replica_id)
+        self._build_stack(replica_id, checkpoint)
+        if self.config.engine == "mp":
+            # Starting the fresh engine installs the checkpoint state
+            # stashed by install_checkpoint.
+            self.replicas[replica_id].service.start()
+        self._start_replica(replica_id)
 
     # --------------------------------------------------------------- helpers
 
@@ -366,3 +346,21 @@ class ThreadedCluster:
 
     def total_executed(self) -> List[int]:
         return [replica.executed for replica in self.replicas]
+
+    def wait_converged(self, expected: int, timeout: float = 10.0,
+                       replicas: Optional[List[int]] = None) -> bool:
+        """Poll until the given replicas (default: all) executed
+        ``expected`` commands and their merge stages drained; False on
+        timeout (callers assert details)."""
+        targets = (replicas if replicas is not None
+                   else range(self.config.n_replicas))
+        deadline = time.monotonic() + timeout
+        while True:
+            if all(self.replicas[r].executed >= expected
+                   and (self.merges[r] is None
+                        or self.merges[r].merge_idle())
+                   for r in targets):
+                return True
+            if time.monotonic() >= deadline:
+                return False
+            time.sleep(0.01)

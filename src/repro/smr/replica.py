@@ -6,8 +6,9 @@ inserts delivered commands into a COS in total order; a pool of worker
 threads repeatedly gets an independent command, executes it against the
 service, responds to the client, and removes it from the COS.
 
-A :class:`SequentialReplica` is classic SMR — the same machinery over the
-FIFO :class:`~repro.core.sequential.SequentialCOS` with a single worker.
+Classic SMR is the same machinery with ``cos_algorithm="sequential"`` —
+the FIFO :class:`~repro.core.sequential.SequentialCOS` drained by a single
+worker, one command per dispatch.
 
 Replicas deduplicate commands by ``(client_id, request_id)`` at delivery
 time.  Delivery order is identical at all replicas, so the dedup decision
@@ -39,7 +40,7 @@ from repro.obs.spans import span_key
 from repro.smr.checkpoint import Checkpoint, CheckpointError
 from repro.smr.service import Service
 
-__all__ = ["ParallelReplica", "SequentialReplica", "STOP_OP"]
+__all__ = ["ParallelReplica", "STOP_OP"]
 
 #: Poison-pill operation used to shut worker threads down.
 STOP_OP = "__replica_stop__"
@@ -95,6 +96,11 @@ class ParallelReplica:
         16 when the service supports batching, else 1; services without
         ``execute_many`` always run command-at-a-time.
 
+        ``cos_algorithm="sequential"`` is classic SMR: strict delivery-order
+        execution, so ``workers`` and ``dispatch_batch`` are both pinned to
+        1 — the FIFO's queued commands may conflict, draining several at
+        once is never legal there.
+
         ``dedup_window``: 0 (default) keeps the classic latest-request-id
         dedup cache, which is exact under a single total order.  A positive
         value keeps the last that many request ids *per client* instead,
@@ -117,6 +123,8 @@ class ParallelReplica:
         hint = getattr(service, "dispatch_parallelism", None)
         if hint is not None:
             workers = max(workers, int(hint))
+        if cos_algorithm == "sequential":
+            workers = dispatch_batch = 1
         self.replica_id = replica_id
         self.service = service
         self.workers = workers
@@ -538,27 +546,3 @@ class ParallelReplica:
             return None
         return cached
 
-
-class SequentialReplica(ParallelReplica):
-    """Classic SMR: strict delivery-order execution on one worker."""
-
-    def __init__(
-        self,
-        replica_id: int,
-        service: Service,
-        max_queue_size: int = DEFAULT_MAX_SIZE,
-        on_response: Optional[ResponseCallback] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        super().__init__(
-            replica_id,
-            service,
-            cos_algorithm="sequential",
-            workers=1,
-            max_graph_size=max_queue_size,
-            on_response=on_response,
-            registry=registry,
-            # Strict delivery order: the FIFO's queued commands may
-            # conflict, so draining several at once is never legal here.
-            dispatch_batch=1,
-        )

@@ -69,7 +69,20 @@ Each test fails against the pre-fix code:
 - **cross-partition key distinctness** (workload/generator.py): under
   Zipf skew the cross-partition draw could repeat a key, silently
   shrinking the command's conflict footprint (``MultiKeyedConflicts``
-  dedups arguments) and understating cross-partition conflict rates.
+  dedups arguments) and understating cross-partition conflict rates;
+- **client-supplied read_only flag** (net/replica.py, smr/stack.py): the
+  TCP replica used to route on ``ClientRequest.read_only``, so a batch
+  flagged read-only that carried a write executed via the lease-read path
+  at the leaseholder only and the replicas diverged; ``route`` now derives
+  read-only-ness from ``Command.writes``;
+- **loopback_config port reuse** (net/config.py): one bind-and-release
+  ``free_port()`` per endpoint let the kernel hand the same port out twice
+  within one config; all ports are now drawn while every probe socket is
+  still bound (``free_ports``);
+- **ProcessGroup log-handle leak** (net/supervisor.py): every restart of
+  a member opened a fresh ``replica-N.log`` handle and kept the old one
+  open until ``stop()``; handles are keyed by replica id and the
+  predecessor is closed.
 """
 
 from __future__ import annotations
@@ -106,6 +119,10 @@ from repro.smr.service import Service
 
 def read(key):
     return Command("contains", (key,), writes=False)
+
+
+def write(key):
+    return Command("add", (key,), writes=True)
 
 
 # --------------------------------------------------------------------------
@@ -1202,3 +1219,172 @@ class TestCrossPartitionKeyDistinctness:
         # historical runs rely on stream stability.
         assert stream() == stream(cross_partition_fraction=0.0,
                                   n_partitions=4)
+
+
+# --------------------------------------------------------------------------
+# ReplicaServer: the wire's read_only flag is never trusted.
+# --------------------------------------------------------------------------
+
+
+class TestMisflaggedReadOnlyBatch:
+
+    def test_flagged_write_is_ordered_not_lease_served(self, monkeypatch):
+        from repro.net.cluster import TcpCluster
+        from repro.net.messages import ClientRequest
+
+        def lease_reads(cluster):
+            return sum(
+                server.registry.counter("paxos_lease_reads_total").value
+                for server in cluster.servers)
+
+        with TcpCluster(n_replicas=3) as cluster:
+            client = cluster.client(timeout=1.0)
+            # An honest write first: elects the leader and arms its lease.
+            assert client.execute(write(500)) is True
+            assert cluster.wait_converged(1, timeout=5.0)
+            before = lease_reads(cluster)
+
+            def lying_submit(payload, contact):
+                client.transport.send(
+                    client.node_id, contact % 3,
+                    ClientRequest(payload=payload, reply_to=client.node_id,
+                                  reply_host=client._host,
+                                  reply_port=client._port,
+                                  client_id=client.client_id,
+                                  read_only=True))
+
+            monkeypatch.setattr(client._client, "_submit", lying_submit)
+            assert client.execute(write(501)) is True
+            # Pre-fix the leaseholder executed the write alone, through
+            # DeliverRead: followers never reached 2 and states diverged.
+            assert cluster.wait_converged(2, timeout=5.0), (
+                cluster.total_executed())
+            snapshots = [service.snapshot()
+                         for service in cluster.services()]
+            assert snapshots[0] == snapshots[1] == snapshots[2]
+            assert lease_reads(cluster) == before
+
+
+# --------------------------------------------------------------------------
+# loopback_config: ports are drawn while every probe is still bound.
+# --------------------------------------------------------------------------
+
+
+class _LowestFreePortKernel:
+    """Stand-in for ``socket``: bind(0) yields the lowest unbound port —
+    the adversarial (and legal) kernel that re-issues a just-released
+    port on the very next bind."""
+
+    AF_INET = SOCK_STREAM = SOL_SOCKET = SO_REUSEADDR = 0
+
+    def __init__(self):
+        self.bound = set()
+
+    def socket(self, *args):
+        kernel = self
+
+        class _Socket:
+            port = None
+
+            def setsockopt(self, *args):
+                pass
+
+            def bind(self, address):
+                self.port = next(port for port in range(40000, 65536)
+                                 if port not in kernel.bound)
+                kernel.bound.add(self.port)
+
+            def getsockname(self):
+                return ("127.0.0.1", self.port)
+
+            def close(self):
+                kernel.bound.discard(self.port)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.close()
+
+        return _Socket()
+
+
+class TestLoopbackPortsAreDistinct:
+
+    def test_ports_distinct_when_kernel_reissues_released_ports(
+            self, monkeypatch):
+        from repro.net import config as net_config
+
+        kernel = _LowestFreePortKernel()
+        monkeypatch.setattr(net_config, "socket", kernel)
+        drawn = net_config.loopback_config(3, metrics=True)
+        ports = [port for _, port in
+                 drawn.addresses + drawn.metrics_addresses]
+        assert len(set(ports)) == 6, ports
+        assert not kernel.bound, "probe sockets must all be released"
+
+    def test_200_real_draws_never_repeat_a_port(self):
+        from repro.net.config import free_port, free_ports, loopback_config
+
+        for _ in range(200):
+            drawn = loopback_config(3, metrics=True)
+            ports = [port for _, port in
+                     drawn.addresses + drawn.metrics_addresses]
+            assert len(set(ports)) == 6, ports
+        assert len(set(free_ports(32))) == 32
+        assert isinstance(free_port(), int)   # still exported (benchmark)
+
+
+# --------------------------------------------------------------------------
+# ProcessGroup: one open log handle per member, however often it restarts.
+# --------------------------------------------------------------------------
+
+
+class TestProcessGroupLogHandles:
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts handles through /proc/self/fd")
+    def test_three_restarts_leave_one_open_handle(self, monkeypatch,
+                                                  tmp_path):
+        import os
+
+        from repro.net import supervisor
+        from repro.net.config import loopback_config
+
+        class _ExitedProcess:
+            pid = 4242
+            returncode = 0
+
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def poll(self):
+                return 0        # crashed already: restart() may re-spawn
+
+            def wait(self, timeout=None):
+                return 0
+
+        monkeypatch.setattr(supervisor.subprocess, "Popen", _ExitedProcess)
+        monkeypatch.setattr(supervisor, "_port_open", lambda *a, **k: True)
+
+        def open_handles(name):
+            target = str(tmp_path / name)
+            count = 0
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    count += os.readlink(f"/proc/self/fd/{fd}") == target
+                except OSError:
+                    pass    # the listing's own fd is gone by now
+            return count
+
+        group = supervisor.ProcessGroup(
+            "replicas", loopback_config(3), "unused.json", [0, 1],
+            log_dir=str(tmp_path))
+        group.spawn()
+        for _ in range(3):
+            group.restart(0)
+        assert open_handles("replica-0.log") == 1
+        assert open_handles("replica-1.log") == 1
+        group.stop()
+        assert open_handles("replica-0.log") == 0
+        assert open_handles("replica-1.log") == 0

@@ -82,6 +82,67 @@ class TestMpEngine:
         assert args.mp_workers == 3
 
 
+class TestNetCli:
+    """``net supervise --groups`` / ``net client --cross``: the partitioned
+    deployment is a flag on the ordinary subcommands."""
+
+    @staticmethod
+    def _parse(*argv):
+        from repro.cli import _build_parser
+
+        return _build_parser().parse_args(["net", *argv])
+
+    def test_supervise_groups_flag_reaches_the_config(self):
+        from repro.net.cli import _config_from_args
+        from repro.net.config import loopback_config
+
+        assert self._parse("supervise").groups == 1
+        args = self._parse("supervise", "--groups", "2", "--service",
+                           "linked-list-keyed", "--engine", "mp",
+                           "--no-lease-reads", "--wire", "binary")
+        assert args.groups == 2
+        assert args.config_out == "repro-net-cluster.json"
+        config = loopback_config(n_replicas=args.replicas,
+                                 n_groups=args.groups,
+                                 **_config_from_args(args))
+        assert (config.n_groups, config.engine, config.wire) == (
+            2, "mp", "binary")
+        assert config.lease_reads is False
+        assert config.service == "linked-list-keyed"
+
+    def test_bench_shares_the_cluster_options(self):
+        from repro.net.bench import NetBenchConfig
+        from repro.net.cli import _config_from_args
+
+        args = self._parse("bench", "--workers", "7", "--propose-linger",
+                           "0.002", "--no-cumulative-acks")
+        config = NetBenchConfig(**_config_from_args(args))
+        assert config.workers == 7
+        assert config.propose_linger == 0.002
+        assert config.cumulative_acks is False
+        with pytest.raises(SystemExit):     # --groups is supervise-only
+            self._parse("bench", "--groups", "2")
+
+    def test_client_cross_flags(self):
+        args = self._parse("client", "--config", "c.json")
+        assert (args.cross, args.keys_per_cross) == (0.0, 2)
+        args = self._parse("client", "--config", "c.json", "--cross", "0.3",
+                           "--keys-per-cross", "3")
+        assert (args.cross, args.keys_per_cross) == (0.3, 3)
+
+    def test_client_cross_needs_a_partitioned_deployment(self, tmp_path,
+                                                         capsys):
+        from repro.net.config import loopback_config
+
+        path = tmp_path / "single.json"
+        path.write_text(loopback_config(3).to_json())
+        # Refused before any socket is opened: no cluster is running here.
+        assert main(["net", "client", "--config", str(path),
+                     "--cross", "0.5"]) == 2
+        assert "--cross needs a partitioned deployment" in (
+            capsys.readouterr().err)
+
+
 class TestFigures:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

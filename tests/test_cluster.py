@@ -1,7 +1,6 @@
 """End-to-end tests of the threaded SMR cluster."""
 
 import threading
-import time
 
 import pytest
 
@@ -20,15 +19,6 @@ def linked_list_config(**overrides):
     )
     defaults.update(overrides)
     return ClusterConfig(**defaults)
-
-
-def wait_consistent(cluster, expected_executed, timeout=5.0):
-    deadline = time.time() + timeout
-    while time.time() < deadline:
-        if min(cluster.total_executed()) >= expected_executed:
-            return True
-        time.sleep(0.01)
-    return False
 
 
 class TestBasicOperation:
@@ -57,7 +47,7 @@ class TestBasicOperation:
             workload = WorkloadGenerator(30.0, key_space=200, seed=5)
             for _ in range(8):
                 client.execute_batch(workload.commands(10))
-            assert wait_consistent(cluster, 80)
+            assert cluster.wait_converged(80, timeout=5.0)
             snapshots = [sorted(s.snapshot()) for s in cluster.services()]
             assert snapshots[0] == snapshots[1] == snapshots[2]
 
@@ -74,7 +64,7 @@ class TestBasicOperation:
             for index, client in enumerate(clients):
                 assert client.execute(
                     Command("add", (900 + index,), writes=True)) is True
-            assert wait_consistent(cluster, 3)
+            assert cluster.wait_converged(3, timeout=5.0)
 
     def test_client_ids_unique(self):
         with ThreadedCluster(linked_list_config()) as cluster:
@@ -108,14 +98,11 @@ class TestFaultTolerance:
             cluster.crash(2)
             assert client.execute(
                 Command("contains", (700,), writes=False)) is True
+            # Survivors agree once both executed the add (the first reply
+            # only proves one of them did).
+            assert cluster.wait_converged(1, timeout=5.0, replicas=[0, 1])
             snapshots = [sorted(cluster.replicas[i].service.snapshot())
                          for i in (0, 1)]
-            # Survivors eventually agree.
-            deadline = time.time() + 5
-            while time.time() < deadline and snapshots[0] != snapshots[1]:
-                time.sleep(0.05)
-                snapshots = [sorted(cluster.replicas[i].service.snapshot())
-                             for i in (0, 1)]
             assert snapshots[0] == snapshots[1]
 
     def test_leader_crash_preserves_service(self):
@@ -168,7 +155,7 @@ class TestBankEndToEnd:
             for thread in threads:
                 thread.join(timeout=30)
                 assert not thread.is_alive()
-            assert wait_consistent(cluster, 88)
+            assert cluster.wait_converged(88, timeout=5.0)
             for service in cluster.services():
                 assert service.total_money() == 800
 
@@ -181,7 +168,7 @@ class TestKVEndToEnd:
             client = cluster.client()
             for index in range(60):
                 client.execute(KVStoreService.put(f"k{index % 6}", index))
-            assert wait_consistent(cluster, 60)
+            assert cluster.wait_converged(60, timeout=5.0)
             snapshots = [s.snapshot() for s in cluster.services()]
             assert snapshots[0] == snapshots[1] == snapshots[2]
             assert snapshots[0] == {f"k{i}": 54 + i for i in range(6)}
@@ -199,7 +186,7 @@ class TestSpeculativeCluster:
                 assert client.execute(
                     KVStoreService.put(f"k{i}", i)) is None
             assert client.execute(KVStoreService.get("k7")) == 7
-            assert wait_consistent(cluster, 21)
+            assert cluster.wait_converged(21, timeout=5.0)
             assert all(isinstance(r, SpeculativeReplica)
                        for r in cluster.replicas)
             # The commands really went through the optimistic pipeline.

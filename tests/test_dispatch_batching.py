@@ -28,7 +28,7 @@ from repro.errors import ShardError
 from repro.obs.registry import MetricsRegistry
 from repro.par import MpEngineConfig, MpService
 from repro.par.dispatcher import MpDispatcher
-from repro.smr.replica import ParallelReplica, SequentialReplica
+from repro.smr.replica import ParallelReplica
 
 PROBEABLE = ("sequential", "class-based", "fine-grained", "lock-free",
              "indexed", "early", "early-batched")
@@ -290,8 +290,11 @@ class TestBatchedReplica:
             ParallelReplica(0, engine_like, workers=2, dispatch_batch=0)
 
     def test_sequential_replica_never_batches(self):
-        # FIFO-queued commands may conflict, so the sequential facade must
+        # FIFO-queued commands may conflict, so the sequential COS must
         # pin the drain to one command per dispatch even though its
-        # service might support execute_many.
-        replica = SequentialReplica(0, KVStoreService())
+        # service supports execute_many (and the caller asked for more).
+        engine_like = MpService("kv", workers=2)     # has execute_many
+        replica = ParallelReplica(0, engine_like, cos_algorithm="sequential",
+                                  dispatch_batch=8)
         assert replica.dispatch_batch == 1
+        assert replica.workers == 1

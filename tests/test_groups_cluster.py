@@ -6,9 +6,9 @@ cross-partition commands land at the identical merged position everywhere,
 and conflicting commands release in the same per-class order — even when
 seeded loss/duplication/reordering shapes each group's ordering traffic
 differently per replica.  These tests drive a real
-:class:`~repro.groups.cluster.GroupedCluster` (threaded engine, real
-workload generator) and compare replicas against each other, and the
-grouped deployment against a single-group baseline.
+:class:`~repro.smr.cluster.ThreadedCluster` with ``n_groups > 1``
+(threaded engine, real workload generator) and compare replicas against
+each other, and the grouped deployment against a single-group baseline.
 
 Note on counters: lease-served reads execute only at the leaseholder, so
 tests that wait for *every* replica to reach an executed count run with
@@ -21,13 +21,13 @@ import pytest
 
 from repro.broadcast import FaultPlan
 from repro.core.command import Command
-from repro.groups.cluster import GroupedCluster, GroupsConfig
+from repro.smr.cluster import ClusterConfig, ThreadedCluster
 from repro.workload import WorkloadGenerator
 
 N_COMMANDS = 60
 
 
-def _config(n_groups: int, **overrides) -> GroupsConfig:
+def _config(n_groups: int, **overrides) -> ClusterConfig:
     base = dict(
         n_groups=n_groups,
         n_replicas=3,
@@ -37,7 +37,7 @@ def _config(n_groups: int, **overrides) -> GroupsConfig:
         client_timeout=5.0,
     )
     base.update(overrides)
-    return GroupsConfig(**base)
+    return ClusterConfig(**base)
 
 
 def _workload(n_groups: int, cross: float, seed: int = 3,
@@ -52,7 +52,7 @@ def _workload(n_groups: int, cross: float, seed: int = 3,
     )
 
 
-def _drive(cluster: GroupedCluster, commands):
+def _drive(cluster: ThreadedCluster, commands):
     # The client re-stamps commands with its own id and request ids
     # 1..len(commands) in stream order (repro.smr.client).
     client = cluster.client()
@@ -61,9 +61,17 @@ def _drive(cluster: GroupedCluster, commands):
     return client
 
 
-def _assert_replicas_agree(cluster: GroupedCluster) -> None:
-    positions = cluster.merged_positions()
-    histories = cluster.class_histories()
+def _merged_positions(cluster: ThreadedCluster):
+    return [merge.merged_positions() for merge in cluster.merges]
+
+
+def _class_histories(cluster: ThreadedCluster):
+    return [merge.class_histories() for merge in cluster.merges]
+
+
+def _assert_replicas_agree(cluster: ThreadedCluster) -> None:
+    positions = _merged_positions(cluster)
+    histories = _class_histories(cluster)
     snapshots = [service.snapshot() for service in cluster.services()]
     for replica in range(1, cluster.config.n_replicas):
         assert positions[replica] == positions[0], (
@@ -77,12 +85,12 @@ def _assert_replicas_agree(cluster: GroupedCluster) -> None:
 class TestConvergence:
     def test_cross_partition_workload_converges_identically(self):
         commands = _workload(2, cross=0.25).commands(N_COMMANDS)
-        with GroupedCluster(_config(2)) as cluster:
+        with ThreadedCluster(_config(2)) as cluster:
             _drive(cluster, commands)
             assert cluster.wait_converged(N_COMMANDS, timeout=20.0), (
                 cluster.total_executed())
             _assert_replicas_agree(cluster)
-            positions = cluster.merged_positions()[0]
+            positions = _merged_positions(cluster)[0]
             assert len(positions) == N_COMMANDS
             # The stream really exercised the rendezvous path.
             cross = [c for c in commands if len(c.args) > 1]
@@ -90,10 +98,10 @@ class TestConvergence:
 
     def test_cross_commands_anchor_in_lowest_group(self):
         commands = _workload(2, cross=0.4, seed=5).commands(N_COMMANDS)
-        with GroupedCluster(_config(2)) as cluster:
+        with ThreadedCluster(_config(2)) as cluster:
             client = _drive(cluster, commands)
             assert cluster.wait_converged(N_COMMANDS, timeout=20.0)
-            positions = cluster.merged_positions()[0]
+            positions = _merged_positions(cluster)[0]
             for index, command in enumerate(commands):
                 if len(command.args) <= 1:
                     continue
@@ -104,7 +112,7 @@ class TestConvergence:
     def test_three_groups_mixed_reads_and_writes(self):
         commands = _workload(3, cross=0.2, seed=9,
                              write_pct=70.0).commands(N_COMMANDS)
-        with GroupedCluster(_config(3)) as cluster:
+        with ThreadedCluster(_config(3)) as cluster:
             _drive(cluster, commands)
             assert cluster.wait_converged(N_COMMANDS, timeout=20.0), (
                 cluster.total_executed())
@@ -123,7 +131,7 @@ class TestUnderFaults:
                       loss=0.02),
         )
         commands = _workload(2, cross=0.25, seed=seed).commands(N_COMMANDS)
-        with GroupedCluster(_config(2, fault_plans=plans)) as cluster:
+        with ThreadedCluster(_config(2, fault_plans=plans)) as cluster:
             _drive(cluster, commands)
             assert cluster.wait_converged(N_COMMANDS, timeout=30.0), (
                 cluster.total_executed())
@@ -131,7 +139,7 @@ class TestUnderFaults:
 
     def test_survives_one_replica_crash(self):
         commands = _workload(2, cross=0.25, seed=7).commands(N_COMMANDS)
-        with GroupedCluster(_config(2)) as cluster:
+        with ThreadedCluster(_config(2)) as cluster:
             _drive(cluster, commands[:30])
             assert cluster.wait_converged(30, timeout=20.0)
             cluster.crash(2)
@@ -139,8 +147,8 @@ class TestUnderFaults:
             assert cluster.wait_converged(N_COMMANDS, timeout=30.0,
                                           replicas=[0, 1]), (
                 cluster.total_executed())
-            positions = cluster.merged_positions()
-            histories = cluster.class_histories()
+            positions = _merged_positions(cluster)
+            histories = _class_histories(cluster)
             assert positions[1] == positions[0]
             assert histories[1] == histories[0]
 
@@ -154,7 +162,7 @@ class TestAgainstSingleGroupBaseline:
         commands = _workload(2, cross=0.25, seed=11).commands(N_COMMANDS)
         snapshots = []
         for n_groups in (1, 2):
-            with GroupedCluster(_config(n_groups)) as cluster:
+            with ThreadedCluster(_config(n_groups)) as cluster:
                 _drive(cluster, commands)
                 assert cluster.wait_converged(N_COMMANDS, timeout=20.0)
                 snapshots.append(cluster.services()[0].snapshot())
@@ -162,8 +170,10 @@ class TestAgainstSingleGroupBaseline:
 
     def test_single_group_has_no_rendezvous_traffic(self):
         commands = _workload(2, cross=0.0, seed=13).commands(20)
-        with GroupedCluster(_config(1)) as cluster:
+        with ThreadedCluster(_config(1)) as cluster:
             _drive(cluster, commands)
             assert cluster.wait_converged(20, timeout=20.0)
-            for grouped in cluster.grouped:
-                assert grouped.merger.emitted_cross == 0
+            # One group is the classic wiring: no merge stage exists at
+            # all, let alone rendezvous traffic through one.
+            assert cluster.merges == [None] * 3
+            assert cluster.partition_map is None

@@ -2,9 +2,9 @@
 
 Two layers above the threaded grouped cluster (test_groups_cluster.py):
 
-* ``TcpCluster`` with ``n_groups > 1`` — every replica is a
-  :class:`~repro.groups.net.GroupedReplicaServer` hosting one protocol
-  node per group behind a single TCP endpoint, with protocol messages
+* ``TcpCluster`` with ``n_groups > 1`` — every
+  :class:`~repro.net.replica.ReplicaServer` hosts one protocol node per
+  group behind a single TCP endpoint, with protocol messages
   travelling in :class:`~repro.net.messages.GroupEnvelope` wrappers and
   client batches routed by partition (docs/partitioning.md).
 
@@ -63,7 +63,7 @@ class TestGroupedTcpCluster:
                 client.execute_batch(commands[start:start + 8])
             assert cluster.wait_converged(N_COMMANDS, timeout=20.0), (
                 cluster.total_executed())
-            positions = [server.grouped.merged_positions()
+            positions = [server.merge.merged_positions()
                          for server in cluster.servers]
             snapshots = [server.service.snapshot()
                          for server in cluster.servers]
@@ -72,7 +72,7 @@ class TestGroupedTcpCluster:
             assert positions[2] == positions[0]
             assert snapshots[1] == snapshots[0]
             assert snapshots[2] == snapshots[0]
-            crossed = sum(server.grouped.merger.emitted_cross
+            crossed = sum(server.merge.merger.emitted_cross
                           for server in cluster.servers[:1])
             assert crossed > 0, "workload never exercised rendezvous"
 
@@ -83,18 +83,20 @@ class TestGroupedTcpCluster:
                                match="single-group only"):
                 cluster.restart_replica(2)
 
-    def test_grouped_server_requires_two_groups(self):
-        from repro.groups.net import GroupedReplicaServer
+    def test_single_group_server_builds_no_group_plumbing(self):
+        from repro.net.replica import ReplicaServer
 
         config = loopback_config(n_replicas=3, service="linked-list-keyed")
-        with pytest.raises(ConfigurationError, match="n_groups >= 2"):
-            GroupedReplicaServer(0, config)
+        server = ReplicaServer(0, config)
+        assert server.merge is None and server.partition_map is None
+        assert server.nodes == [server.node]
 
-    def test_config_rejects_sequential_cos_with_groups(self):
-        with pytest.raises(ConfigurationError, match="parallel COS"):
+    def test_config_accepts_sequential_cos_and_mp_engine_with_groups(self):
+        # Rejected while the grouped server was a separate copy that never
+        # plumbed them; tests/test_stack_compositions.py runs them.
+        for extra in ({"cos_algorithm": "sequential"}, {"engine": "mp"}):
             loopback_config(n_replicas=3, n_groups=2,
-                            service="linked-list-keyed",
-                            cos_algorithm="sequential").validate()
+                            service="linked-list-keyed", **extra).validate()
 
 
 class TestProcessGroups:

@@ -189,6 +189,11 @@ class TestClusterIntegration:
             for i in range(20):
                 client.execute(KVStoreService.put(f"k{i}", i))
             assert client.execute(KVStoreService.get("k7")) == 7
+            # The first reply only proves one replica executed a command;
+            # followers may still be catching up (the read is lease-served
+            # at the leader alone, so 20 is the common floor).
+            assert cluster.wait_converged(20, timeout=10.0), (
+                cluster.total_executed())
             snapshots = [service.snapshot()
                          for service in cluster.services()]
         assert snapshots[0] == snapshots[1] == snapshots[2]

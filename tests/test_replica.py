@@ -7,7 +7,7 @@ import pytest
 
 from repro.apps import KVStoreService, LinkedListService
 from repro.core.command import Command
-from repro.smr.replica import ParallelReplica, SequentialReplica
+from repro.smr.replica import ParallelReplica
 
 
 def read(key):
@@ -156,10 +156,13 @@ class TestParallelReplica:
             replica.stop()
 
 
-class TestSequentialReplica:
+class TestSequentialCos:
+    """Classic SMR is ``ParallelReplica(cos_algorithm="sequential")``."""
+
     def test_executes_in_delivery_order(self, responses):
-        replica = SequentialReplica(0, KVStoreService(),
-                                    on_response=responses)
+        replica = ParallelReplica(0, KVStoreService(),
+                                  cos_algorithm="sequential",
+                                  on_response=responses)
         replica.start()
         try:
             commands = tuple(
@@ -176,7 +179,9 @@ class TestSequentialReplica:
             replica.stop()
 
     def test_has_single_worker(self):
-        replica = SequentialReplica(0, KVStoreService())
+        # Derived from the algorithm, whatever the caller asked for.
+        replica = ParallelReplica(0, KVStoreService(),
+                                  cos_algorithm="sequential", workers=4)
         assert replica.workers == 1
 
 
