@@ -20,6 +20,8 @@ __all__ = [
     "Deliver",
     "DeliverRead",
     "SetTimer",
+    "SendSnapshot",
+    "InstallSnapshot",
     "Prepare",
     "Promise",
     "Accept",
@@ -28,6 +30,7 @@ __all__ = [
     "Nack",
     "CatchupRequest",
     "CatchupReply",
+    "Snapshot",
     "Forward",
     "Heartbeat",
     "HeartbeatAck",
@@ -98,6 +101,34 @@ class SetTimer:
     delay: float
 
 
+@dataclass(frozen=True)
+class SendSnapshot:
+    """Ask the adapter to ship the application's checkpoint to ``dst``.
+
+    Emitted when ``dst`` asked for instances this node has compacted away
+    (a :class:`CatchupRequest` or :class:`Prepare` under the log floor).
+    The adapter answers with a :class:`Snapshot` message; it may reuse a
+    cached checkpoint as long as that covers ``min_instance`` — an older
+    one could leave the receiver under this node's floor again.
+    """
+
+    dst: int
+    min_instance: int
+
+
+@dataclass(frozen=True)
+class InstallSnapshot:
+    """Ask the adapter to restore the application from ``snapshot``.
+
+    The adapter installs it and then calls
+    ``MultiPaxos.on_snapshot_installed(snapshot.instance)``; only that call
+    moves the protocol's delivery frontier, so a failed install leaves the
+    protocol where the application still is.
+    """
+
+    snapshot: "Snapshot"
+
+
 # -------------------------------------------------------------- paxos messages
 
 
@@ -108,7 +139,9 @@ class Prepare:
     ``from_instance`` is the candidate's delivery frontier: acceptors
     report their decided values at or above it in the Promise, so the new
     leader cannot re-propose a fresh value at an instance that was already
-    decided (and possibly executed) elsewhere.
+    decided (and possibly executed) elsewhere.  An acceptor that has
+    compacted its log past ``from_instance`` can no longer do that; it
+    refuses and sends a :class:`Snapshot` instead (docs/ordering.md).
     """
 
     ballot: Ballot
@@ -181,7 +214,11 @@ class Nack:
 
 @dataclass(frozen=True)
 class CatchupRequest:
-    """Ask a peer for decided instances starting at ``from_instance``."""
+    """Ask a peer for decided instances starting at ``from_instance``.
+
+    Answered with a :class:`CatchupReply`, or with a :class:`Snapshot` when
+    ``from_instance`` is under the peer's log floor.
+    """
 
     from_instance: int
 
@@ -197,6 +234,28 @@ class CatchupReply:
 
     decided: Dict[int, Any]
     more: bool = False
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """A consistent replica cut, sent to a peer that fell under the
+    sender's log floor (and known to :mod:`repro.smr` as ``Checkpoint``).
+
+    Attributes:
+        instance: Highest atomic-broadcast instance whose commands are all
+            reflected in ``state`` (-1 when nothing was delivered yet).
+        state: The service snapshot.
+        dedup: Per-client ``(request_id, response)`` cache, so the receiver
+            keeps exactly-once semantics across the jump.
+
+    One snapshot travels in one frame, so an application state past the
+    codecs' ``MAX_FRAME`` cannot be transferred (the send fails with a
+    ``CodecError`` naming the size).
+    """
+
+    instance: int
+    state: Any
+    dedup: Dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

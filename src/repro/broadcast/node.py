@@ -3,7 +3,9 @@
 A :class:`ThreadedNode` owns one protocol state machine (MultiPaxos or
 SequencerBroadcast), consumes its transport inbox on a dedicated thread, and
 performs the actions the state machine returns: sends go to the transport,
-delivers go to the application callback, timers are kept in a local heap.
+delivers go to the application callback, timers are kept in a local heap,
+and snapshot transfers (``SendSnapshot`` / ``InstallSnapshot``) go through
+the two optional application hooks.
 
 The state machine is only ever touched from the event-loop thread, so it
 needs no internal locking; ``submit`` is made thread-safe by routing client
@@ -12,22 +14,27 @@ payloads through the inbox.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import queue
 import threading
 import time
+import warnings
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.broadcast.messages import (
     Deliver,
     DeliverOptimistic,
     DeliverRead,
+    InstallSnapshot,
     Send,
+    SendSnapshot,
     SetTimer,
+    Snapshot,
 )
 from repro.broadcast.transport import ThreadedTransport
-from repro.errors import ShutdownError
+from repro.errors import ReproError, ShutdownError
 
 __all__ = ["ThreadedNode"]
 
@@ -38,6 +45,10 @@ _STOP = object()         # inbox sentinel: shut down
 DeliverCallback = Callable[[int, Any], None]
 ReadCallback = Callable[[Any], None]
 OptimisticCallback = Callable[[Any], None]
+#: Quiesce the application and return its state as a :class:`Snapshot`.
+TakeSnapshot = Callable[[], Snapshot]
+#: Restore the application from a peer's :class:`Snapshot`.
+InstallCallback = Callable[[Snapshot], None]
 
 
 class ThreadedNode:
@@ -52,6 +63,8 @@ class ThreadedNode:
         name: Optional[str] = None,
         on_read: Optional[ReadCallback] = None,
         on_optimistic: Optional[OptimisticCallback] = None,
+        take_snapshot: Optional[TakeSnapshot] = None,
+        install_snapshot: Optional[InstallCallback] = None,
     ):
         self.node_id = node_id
         self.protocol = protocol
@@ -59,6 +72,10 @@ class ThreadedNode:
         self._on_deliver = on_deliver
         self._on_read = on_read
         self._on_optimistic = on_optimistic
+        self._take_snapshot = take_snapshot
+        self._install_snapshot = install_snapshot
+        #: The last snapshot taken, reused while the protocol accepts it.
+        self._snapshot: Optional[Snapshot] = None
         self._inbox = transport.inbox(node_id)
         self._timers: List[Tuple[float, int, str]] = []
         self._timer_seq = itertools.count()
@@ -194,6 +211,10 @@ class ThreadedNode:
                 # delivery of the same payload.
                 if self._on_optimistic is not None:
                     self._on_optimistic(action.payload)
+            elif kind is SendSnapshot:
+                self._send_snapshot(action)
+            elif kind is InstallSnapshot:
+                self._install(action.snapshot)
             elif kind is SetTimer:
                 heapq.heappush(
                     self._timers,
@@ -205,3 +226,45 @@ class ThreadedNode:
                 )
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown protocol action {action!r}")
+
+    def _send_snapshot(self, action: SendSnapshot) -> None:
+        """Ship the application's state, quiescing it only when the cached
+        snapshot is older than the protocol allows."""
+        if self._take_snapshot is None:
+            return  # no application hook wired: the peer keeps asking
+        snapshot = self._snapshot
+        try:
+            if snapshot is None or snapshot.instance < action.min_instance:
+                # Every Deliver up to the protocol's frontier was performed
+                # on this thread already.  The application only counts
+                # instances that delivered something, so stamp the frontier
+                # itself: trailing no-op instances are covered too.
+                frontier = self.protocol.next_deliver - 1
+                snapshot = self._take_snapshot()
+                if snapshot.instance < frontier:
+                    snapshot = dataclasses.replace(snapshot, instance=frontier)
+                self._snapshot = snapshot
+            self._transport.send(self.node_id, action.dst, snapshot)
+        except ShutdownError:
+            raise
+        except ReproError as error:
+            # Did not quiesce, or the state does not fit one frame
+            # (docs/ordering.md): the peer stays behind, this node goes on.
+            warnings.warn(
+                f"node {self.node_id}: no snapshot sent to node "
+                f"{action.dst}: {error}", RuntimeWarning)
+
+    def _install(self, snapshot: Snapshot) -> None:
+        if self._install_snapshot is None:
+            return
+        try:
+            self._install_snapshot(snapshot)
+        except ShutdownError:
+            raise
+        except ReproError as error:
+            warnings.warn(
+                f"node {self.node_id}: snapshot at instance "
+                f"{snapshot.instance} not installed: {error}", RuntimeWarning)
+            return
+        # Only now may the protocol skip ahead: the application is there.
+        self._perform(self.protocol.on_snapshot_installed(snapshot.instance))

@@ -38,6 +38,14 @@ Design notes:
 - **Catch-up**: a replica that sees a decision beyond its contiguous prefix
   asks the decider for the missing instances; replies are chunked to at
   most ``CATCHUP_CHUNK`` instances per frame.
+- **Log compaction** (``log_retain``; the live stack passes
+  :data:`LOG_RETAIN`, a bare ``MultiPaxos(...)`` keeps everything): a
+  delivered instance is dropped from ``decided`` and the stable store once
+  ``log_retain`` newer ones were delivered.  ``log_floor`` is the lowest
+  instance still held; a :class:`CatchupRequest` or :class:`Prepare` under
+  it is answered with the application's snapshot (``SendSnapshot`` →
+  :class:`Snapshot` → ``InstallSnapshot`` → ``on_snapshot_installed``)
+  instead of the prefix.  docs/ordering.md has the safety argument.
 
 Safety (agreement + total order) holds under message loss, duplication and
 reordering and any number of suspicions; liveness additionally needs a
@@ -68,16 +76,20 @@ from repro.broadcast.messages import (
     Forward,
     Heartbeat,
     HeartbeatAck,
+    InstallSnapshot,
     Nack,
     Prepare,
     Promise,
     Send,
+    SendSnapshot,
     SetTimer,
+    Snapshot,
 )
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 
-__all__ = ["MultiPaxos", "NOOP", "FORWARD_HOP_LIMIT", "CATCHUP_CHUNK"]
+__all__ = ["MultiPaxos", "NOOP", "FORWARD_HOP_LIMIT", "CATCHUP_CHUNK",
+           "LOG_RETAIN"]
 
 #: Filler value proposed for gap instances after a leader change.  Never
 #: delivered to the application.
@@ -94,6 +106,12 @@ FORWARD_HOP_LIMIT = 8
 #: dropped whole by the drop-oldest outbound queues).  The requester
 #: re-requests from its advanced ``next_deliver`` while ``more`` is set.
 CATCHUP_CHUNK = 256
+
+#: Delivered instances a compacting replica keeps behind its frontier — the
+#: catch-up window: a follower less than this far behind pulls the
+#: instances, one further behind gets a snapshot.  One chunk's worth;
+#: 1024 was measured and buys nothing (1024 x 12 commands is 6.7 MB).
+LOG_RETAIN = 256
 
 #: Timer names used with SetTimer.
 HEARTBEAT_TIMER = "heartbeat"
@@ -133,6 +151,7 @@ class MultiPaxos:
         lease_reads: bool = True,
         clock: Optional[Callable[[], float]] = None,
         registry: Optional[MetricsRegistry] = None,
+        log_retain: Optional[int] = None,
     ):
         if n < 1 or n % 2 == 0:
             raise ConfigurationError(f"n must be odd and positive, got {n}")
@@ -142,6 +161,8 @@ class MultiPaxos:
             raise ConfigurationError("batch_size and pipeline must be >= 1")
         if propose_linger < 0:
             raise ConfigurationError("propose_linger must be >= 0")
+        if log_retain is not None and log_retain < 1:
+            raise ConfigurationError("log_retain must be >= 1 (or None)")
         self.node_id = node_id
         self.n = n
         self.quorum = n // 2 + 1
@@ -180,6 +201,12 @@ class MultiPaxos:
         # a checkpoint resume delivery just past the checkpointed prefix.
         self.decided: Dict[int, Any] = {}
         self.next_deliver = first_instance
+        # Decided values below the floor are gone (compacted, skipped by a
+        # snapshot, or covered by the checkpoint this node started from):
+        # this node can neither serve them nor report them in a Promise.
+        # ``[log_floor, next_deliver)`` is always fully held.
+        self.log_floor = first_instance
+        self._retain = log_retain
 
         # Proposer / leader state.
         self.ballot: Ballot = (0, 0)
@@ -224,6 +251,8 @@ class MultiPaxos:
         self.msgs_sent = 0
         self.instances_decided = 0
         self.lease_reads_served = 0
+        self.snapshots_sent = 0
+        self.snapshots_installed = 0
         obs = registry if registry is not None else NULL_REGISTRY
         self._obs_on = obs.enabled
         self._m_msgs = obs.counter("paxos_msgs_total")
@@ -231,6 +260,11 @@ class MultiPaxos:
         self._m_lease_reads = obs.counter("paxos_lease_reads_total")
         self._m_batch_fill = obs.histogram("paxos_batch_fill")
         self._g_msgs_per_decide = obs.gauge("paxos_msgs_per_decide")
+        self._m_snapshots_sent = obs.counter("paxos_snapshots_sent_total")
+        self._m_snapshots_installed = obs.counter(
+            "paxos_snapshots_installed_total")
+        self._g_log_floor = obs.gauge("paxos_log_floor")
+        self._g_log_len = obs.gauge("paxos_log_len")
 
     def _restore(self, store, first_instance: int) -> bool:
         """Reload acceptor/learner state persisted by a previous life.
@@ -241,11 +275,18 @@ class MultiPaxos:
         if persisted is None:
             return False  # fresh store: first boot, nothing to restore
         self.promised = persisted
+        # The previous life's floor stands: what it compacted (or skipped
+        # by a snapshot) stays unreportable, even if this life's
+        # application was rebuilt from an older cut (first_instance below
+        # it — then [first_instance, log_floor) is re-fetched from peers).
+        self.log_floor = max(first_instance, store.get("log_floor", 0))
+        self._persist_floor()
         for key, value in store.items():
             if not isinstance(key, tuple):
                 continue
             kind, instance = key
-            if instance < first_instance:
+            if instance < self.log_floor:
+                store.delete(key)
                 continue
             if kind == "accepted":
                 self.accepted[instance] = value
@@ -266,6 +307,19 @@ class MultiPaxos:
     def _persist_decided(self, instance: int, value) -> None:
         if self._store is not None:
             self._store.put(("decided", instance), value)
+
+    def _persist_floor(self) -> None:
+        if self._store is not None:
+            self._store.put("log_floor", self.log_floor)
+
+    def _forget(self, instance: int) -> None:
+        """Drop one instance's learner and acceptor state, here and in
+        the stable store."""
+        self.decided.pop(instance, None)
+        self.accepted.pop(instance, None)
+        if self._store is not None:
+            self._store.delete(("decided", instance))
+            self._store.delete(("accepted", instance))
 
     # ------------------------------------------------------------ lifecycle
 
@@ -420,7 +474,9 @@ class MultiPaxos:
 
     def _learn(self, instance: int, value: Any) -> List[Action]:
         """Record a decision and deliver the contiguous decided prefix."""
-        if instance in self.decided:
+        if instance < self.next_deliver or instance in self.decided:
+            # Already delivered (and possibly compacted away since): a late
+            # re-learn must not resurrect the entry.
             return []
         self.decided[instance] = value
         self._persist_decided(instance, value)
@@ -430,24 +486,49 @@ class MultiPaxos:
         self.accepted.pop(instance, None)
         if self._store is not None:
             self._store.delete(("accepted", instance))
+        return self._deliver_ready()
+
+    def _deliver_ready(self) -> List[Action]:
+        """Deliver the contiguous decided prefix, then compact behind it."""
         actions: List[Action] = []
         while self.next_deliver in self.decided:
-            value = self.decided[self.next_deliver]
+            instance = self.next_deliver
+            value = self.decided[instance]
             if value != NOOP:
-                actions.append(Deliver(self.next_deliver, value))
+                actions.append(Deliver(instance, value))
             self.next_deliver += 1
+            if instance < self.log_floor:
+                # Re-fetched under a floor restored from stable storage
+                # (see _restore): delivered, but the floor stands.
+                self._forget(instance)
+        if self._retain is not None:
+            floor = self.next_deliver - self._retain
+            if floor > self.log_floor:
+                for instance in range(self.log_floor, floor):
+                    self._forget(instance)
+                self.log_floor = floor
+                self._persist_floor()
+        if self._obs_on:
+            self._g_log_floor.set(self.log_floor)
+            self._g_log_len.set(len(self.decided))
         return actions
 
-    def _accepted_up_to(self) -> int:
-        """Largest j with [next_deliver, j] all decided or accepted at the
-        currently promised ballot — the cumulative-ack frontier."""
+    def _accepted_up_to(self, ballot: Ballot) -> int:
+        """Largest j with [next_deliver, j] all decided or accepted at
+        ``ballot`` — the cumulative-ack frontier reported to its leader.
+
+        ``ballot`` is the one the ack is stamped with, which need not be
+        the promised one: a heartbeat does not raise the promise, and
+        entries accepted from a deposed leader must not acknowledge the
+        new leader's different proposals for the same instances.
+        """
         j = self.next_deliver
         while True:
             if j in self.decided:
                 j += 1
                 continue
             acc = self.accepted.get(j)
-            if acc is not None and acc[0] == self.promised:
+            if acc is not None and acc[0] == ballot:
                 j += 1
                 continue
             return j - 1
@@ -511,6 +592,11 @@ class MultiPaxos:
                     and self._quorum_lease.valid(now)):
                 return [Send(src, Nack(msg.ballot, self.promised))]
         if msg.ballot > self.promised:
+            if msg.from_instance < self.log_floor:
+                # The decided values in [from_instance, log_floor) are gone
+                # and can no longer dominate the candidate's merge: no
+                # promise.  A snapshot brings the candidate above the floor.
+                return self._send_snapshot(src)
             self.promised = msg.ballot
             self._persist_promised()
             self._step_down(msg.ballot)
@@ -582,12 +668,16 @@ class MultiPaxos:
             if msg.ballot != self.ballot:
                 self._step_down(msg.ballot)
             self._leader_tracker.record_activity()
-            self.accepted[msg.instance] = (msg.ballot, msg.value)
             self._persist_promised()
-            self._persist_accepted(msg.instance)
+            if (msg.instance >= self.next_deliver
+                    and msg.instance not in self.decided):
+                # (An instance already decided here needs no acceptor
+                # entry — nothing would ever prune it again.)
+                self.accepted[msg.instance] = (msg.ballot, msg.value)
+                self._persist_accepted(msg.instance)
             actions: List[Action] = [
                 Send(src, Accepted(msg.ballot, msg.instance,
-                                   self._accepted_up_to()))
+                                   self._accepted_up_to(msg.ballot)))
             ]
             if msg.commit_up_to >= self.next_deliver:
                 actions.extend(self._learn_up_to(msg.ballot, msg.commit_up_to))
@@ -639,17 +729,73 @@ class MultiPaxos:
         return []
 
     def _on_catchup_request(self, src: int, msg: CatchupRequest) -> List[Action]:
-        known = sorted(
-            inst for inst in self.decided if inst >= msg.from_instance
-        )
-        if not known:
+        start = msg.from_instance
+        if start < self.log_floor:
+            return self._send_snapshot(src)
+        # [log_floor, next_deliver) is held gaplessly; only the decided
+        # instances waiting above a gap need looking for.
+        chunk = list(range(start, min(self.next_deliver,
+                                      start + CATCHUP_CHUNK)))
+        more = start + len(chunk) < self.next_deliver
+        if not more and len(self.decided) > self.next_deliver - self.log_floor:
+            tail = sorted(inst for inst in self.decided
+                          if inst >= max(start, self.next_deliver))
+            room = CATCHUP_CHUNK - len(chunk)
+            more = len(tail) > room
+            chunk.extend(tail[:room])
+        if not chunk:
             return []
-        chunk = known[:CATCHUP_CHUNK]
-        reply = CatchupReply(
-            {inst: self.decided[inst] for inst in chunk},
-            more=len(known) > len(chunk),
-        )
+        reply = CatchupReply({inst: self.decided[inst] for inst in chunk},
+                             more=more)
         return [Send(src, reply)]
+
+    def _send_snapshot(self, dst: int) -> List[Action]:
+        """Answer a peer that asked below the floor with a snapshot."""
+        if self.next_deliver < self.log_floor:
+            return []  # our own application is under the floor (_restore)
+        # A cached checkpoint must at least land the receiver on the floor;
+        # under compaction, keep it in the newer half of the retained
+        # window so it is not stale again by the time it is installed.
+        min_instance = self.log_floor - 1
+        if self._retain is not None:
+            min_instance = max(
+                min_instance, self.next_deliver - 1 - self._retain // 2)
+        self.snapshots_sent += 1
+        if self._obs_on:
+            self._m_snapshots_sent.inc()
+        return [SendSnapshot(dst, min_instance)]
+
+    def _on_snapshot(self, src: int, msg: Snapshot) -> List[Action]:
+        if self.is_leader or msg.instance < self.next_deliver:
+            return []  # stale, or nothing a leader waits for
+        return [InstallSnapshot(msg)]
+
+    def on_snapshot_installed(self, instance: int) -> List[Action]:
+        """The adapter restored the application from a snapshot.
+
+        The application now reflects every instance up to ``instance``:
+        skip the log to just past it, then deliver whatever decided suffix
+        is already held.
+        """
+        start = instance + 1
+        if start <= self.next_deliver:
+            return []
+        for held in (self.decided, self.accepted):
+            for inst in [inst for inst in held if inst < start]:
+                self._forget(inst)
+        self.next_deliver = start
+        self.next_instance = max(self.next_instance, start)
+        if start > self.log_floor:
+            self.log_floor = start
+            self._persist_floor()
+        # A campaign begun from the old frontier is moot; the leader timer
+        # starts the next one from the new frontier.
+        self.preparing = None
+        self._promises = {}
+        self.snapshots_installed += 1
+        if self._obs_on:
+            self._m_snapshots_installed.inc()
+        return self._deliver_ready()
 
     def _on_catchup_reply(self, src: int, msg: CatchupReply) -> List[Action]:
         before = self.next_deliver
@@ -676,7 +822,8 @@ class MultiPaxos:
                 self._lease_grant.grant(
                     msg.ballot[1], self._clock(), self.lease_duration)
                 actions.append(Send(src, HeartbeatAck(
-                    msg.ballot, msg.sent_at, self._accepted_up_to())))
+                    msg.ballot, msg.sent_at,
+                    self._accepted_up_to(msg.ballot))))
             # Learn locally-accepted instances below the leader's frontier
             # (the cumulative replacement for Decide), then pull anything
             # still missing.
@@ -712,6 +859,7 @@ class MultiPaxos:
         Nack: _on_nack,
         CatchupRequest: _on_catchup_request,
         CatchupReply: _on_catchup_reply,
+        Snapshot: _on_snapshot,
         Heartbeat: _on_heartbeat,
         HeartbeatAck: _on_heartbeat_ack,
     }
@@ -750,6 +898,10 @@ class MultiPaxos:
                 # An unexpired grant forbids campaigning: the granter would
                 # refuse to elect us anyway, and spurious duels under load
                 # are exactly what the lease suppresses.
+                return actions
+            if self.next_deliver < self.log_floor:
+                # The floor rule applied to ourselves: we could not report
+                # our own compacted values to our own candidacy.
                 return actions
             actions.extend(self._campaign())
         return actions

@@ -37,9 +37,16 @@ Three oracles run after every decision:
 - **divergence**: all nodes deliver the same payload sequence (agreement),
   guarding the cumulative-ack and promise-merge machinery.
 
-Checker self-validation uses :data:`LEASE_MUTANTS` — seeded lease bugs the
+Every node compacts its log down to :data:`CHECK_RETAIN` delivered
+instances, so the walks drive nodes under each other's log floor all the
+time and the divergence oracle covers compaction, the below-floor
+``Prepare`` refusal and snapshot catch-up.  A snapshot is modelled as the
+sender's delivered sequence; installing one adopts it, and must extend
+what the receiver had delivered itself.
+
+Checker self-validation uses :data:`LEASE_MUTANTS` — seeded bugs the
 random walk must catch within a bounded budget (``lease-ignore-expiry``
-runs in CI; see tests/test_check_lease.py).  Counterexamples are shrunk
+and ``promise-below-floor`` run in CI; see tests/test_check_lease.py).  Counterexamples are shrunk
 ddmin-style and frozen into replay files distinguished from COS replays by
 a ``"harness": "paxos-lease"`` key.
 """
@@ -51,7 +58,15 @@ import random
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.broadcast.messages import Deliver, DeliverRead, Send
+from repro.broadcast.messages import (
+    Deliver,
+    DeliverRead,
+    InstallSnapshot,
+    Prepare,
+    Send,
+    SendSnapshot,
+    Snapshot,
+)
 from repro.broadcast.paxos import (
     HEARTBEAT_TIMER,
     LEADER_TIMER,
@@ -67,6 +82,7 @@ __all__ = [
     "LeaseCheckReport",
     "LeaseHarness",
     "LeaseIgnoreExpiry",
+    "PromiseBelowFloor",
     "load_lease_replay",
     "replay_harness_kind",
     "replay_lease",
@@ -80,7 +96,13 @@ __all__ = [
 #: replays have no such key).
 REPLAY_HARNESS = "paxos-lease"
 
-_VERSION = 1
+#: 2: every node compacts its log (CHECK_RETAIN); a version-1 schedule
+#: would replay against a different system.
+_VERSION = 2
+
+#: Delivered instances each node retains: small enough that a node one
+#: dropped batch behind is already under its peers' log floor.
+CHECK_RETAIN = 2
 
 #: Queued messages are capped so ``dup`` decisions cannot blow the walk up.
 _NETWORK_CAP = 256
@@ -99,11 +121,31 @@ class LeaseIgnoreExpiry(MultiPaxos):
         return True
 
 
+class PromiseBelowFloor(MultiPaxos):
+    """Seeded bug: a compacted acceptor promises a candidate under its floor.
+
+    The promise cannot report the decided values it no longer holds, so
+    the candidate may fill a decided instance with a fresh value — the
+    hazard the floor check in ``_on_prepare`` exists to close.
+    """
+
+    def _on_prepare(self, src: int, msg: Prepare) -> List[Any]:
+        floor, self.log_floor = self.log_floor, 0
+        try:
+            return super()._on_prepare(src, msg)
+        finally:
+            self.log_floor = floor
+
+    # Message dispatch goes through the table, not through ``self``.
+    _HANDLERS = {**MultiPaxos._HANDLERS, Prepare: _on_prepare}
+
+
 #: Lease-harness mutants, deliberately separate from the COS
 #: :data:`repro.check.mutants.MUTANTS` registry (different harness,
 #: different oracles).
 LEASE_MUTANTS = {
     "lease-ignore-expiry": LeaseIgnoreExpiry,
+    "promise-below-floor": PromiseBelowFloor,
 }
 
 
@@ -160,7 +202,13 @@ class LeaseCheckConfig:
             lease_duration=self.lease_duration,
             lease_margin=self.lease_margin,
             clock=clock,
+            log_retain=CHECK_RETAIN,
         )
+
+
+def _is_write(token: Any) -> bool:
+    """``write:N`` decisions submit ``w<k>`` tokens, reads ``r<k>``."""
+    return isinstance(token, str) and token.startswith("w")
 
 
 class LeaseHarness:
@@ -209,6 +257,17 @@ class LeaseHarness:
                     node_id, action.payload, step)
                 if violation is not None:
                     return violation
+            elif isinstance(action, SendSnapshot):
+                # The application state is the delivered sequence; every
+                # Deliver of this node was recorded before this action.
+                snapshot = Snapshot(self.nodes[node_id].next_deliver - 1,
+                                    tuple(self.delivered[node_id]))
+                violation = self._absorb(
+                    node_id, [Send(action.dst, snapshot)], step)
+            elif isinstance(action, InstallSnapshot):
+                violation = self._install(node_id, action.snapshot, step)
+                if violation is not None:
+                    return violation
             # SetTimer is ignored: timers fire via explicit decisions.
             # DeliverRead is checked at the read decision itself.
         return None
@@ -230,10 +289,29 @@ class LeaseHarness:
                         step)
             else:
                 self.order.append(token)
-            if isinstance(token, str) and token.startswith("w"):
+            if _is_write(token):
                 self.delivered_writes[node_id].add(token)
                 self.completed_writes.add(token)
         return None
+
+    def _install(self, node_id: int, snapshot: Snapshot,
+                 step: Optional[int]) -> Optional[Violation]:
+        """Adopt the sender's delivered sequence, then let the protocol
+        skip ahead and deliver what it already holds above it."""
+        adopted = list(snapshot.state)
+        own = self.delivered[node_id]
+        if adopted[:len(own)] != own:
+            return Violation(
+                "divergence",
+                f"node {node_id} delivered {own!r} but is sent a snapshot "
+                f"of {adopted!r}",
+                step)
+        self.delivered[node_id] = adopted
+        self.delivered_writes[node_id] = set(filter(_is_write, adopted))
+        return self._absorb(
+            node_id,
+            self.nodes[node_id].on_snapshot_installed(snapshot.instance),
+            step)
 
     def _serving(self, node: MultiPaxos) -> bool:
         """True when ``node`` would serve a lease read right now."""

@@ -23,7 +23,7 @@ tag byte  payload
 ``0x20``+ one registered wire dataclass (see below)
 ========  ===========================================================
 
-The 17 types of :data:`repro.net.codec.WIRE_TYPES` get one tag byte each,
+The types of :data:`repro.net.codec.WIRE_TYPES` get one tag byte each,
 ``0x20 + i`` with ``i`` the type's position in the *sorted* registry names
 — a deterministic assignment every process derives identically.  A
 dataclass body is its field values, encoded in dataclass field order; no
@@ -74,7 +74,9 @@ __all__ = [
 #: v4: OptimisticAnnounce and NewEpoch joined the registry (optimistic
 #: execution + sequencer failover, docs/speculation.md), shifting the
 #: sorted tag table, and SequencerStamp grew a trailing epoch field.
-WIRE_VERSION = 4
+#: v5: Snapshot joined the registry (log compaction + in-band state
+#: transfer, docs/ordering.md), shifting the sorted tag table.
+WIRE_VERSION = 5
 
 #: Two magic bytes opening every binary frame header ("RP" — repro).
 MAGIC = 0x5250

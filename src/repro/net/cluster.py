@@ -96,7 +96,9 @@ class TcpCluster:
         transports redial the endpoint automatically (reconnect backoff).
         Single-group only (``ReplicaServer`` rejects a checkpoint with
         ``n_groups > 1``); grouped replicas recover via protocol catch-up —
-        kill/restart a process deployment instead.
+        kill/restart a process deployment instead.  (A single-group Paxos
+        replica started blank converges too: its peers send the checkpoint
+        in-band once it asks below their log floor.)
         """
         if self.servers[replica_id].running:
             raise ConfigurationError(

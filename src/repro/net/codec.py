@@ -46,6 +46,7 @@ from repro.broadcast.messages import (
     Prepare,
     Promise,
     SequencerStamp,
+    Snapshot,
 )
 from repro.core.command import Command
 from repro.errors import ReproError
@@ -89,6 +90,7 @@ WIRE_TYPES: Dict[str, Type[Any]] = {
         Nack,
         CatchupRequest,
         CatchupReply,
+        Snapshot,
         Forward,
         Heartbeat,
         HeartbeatAck,

@@ -102,7 +102,8 @@ class ReplicaServer:
             config, replica_id, self.replica,
             self._channels or [self.transport], name="net-node",
             first_instance=first_instance, registry=self.registry,
-            record_history=config.record_merge_history)
+            record_history=config.record_merge_history,
+            on_install=self._reanswer)
         #: Routes client batches to groups; None at one group.
         self.partition_map = self.merge.partition_map if grouped else None
         # client_id -> transport node id of the client's response endpoint.
@@ -200,6 +201,26 @@ class ReplicaServer:
                 self._channels[msg.group].deliver(src, msg.msg)
             return True  # out-of-range group: corrupt peer, drop
         return self._intercept(src, msg)
+
+    def _reanswer(self) -> None:
+        """A peer's snapshot was installed: answer from its dedup table.
+
+        The snapshot jumped over commands this replica would have executed
+        and answered.  No other replica can answer for it — only the
+        contact holds a client's reply route — so every client with a
+        route here is sent its latest cached response again (a client that
+        already has it drops the duplicate).
+        """
+        with self._reply_lock:
+            clients = list(self._reply_to)
+        for client_id in clients:
+            cached = self.replica.cached_response(client_id)
+            if cached is not None:
+                request_id, response = cached
+                # Clients match a response by ids; the command is gone.
+                self._respond(
+                    Command("", client_id=client_id, request_id=request_id),
+                    response, self.replica_id)
 
     def _respond(self, command: Command, response: Any,
                  replica_id: int) -> None:

@@ -17,9 +17,13 @@ processes — the deployment shape partitioned experiments want
 
 Crash/recovery: :meth:`kill` delivers SIGKILL (crash-stop, nothing flushed)
 and :meth:`restart` re-spawns the same replica id on the same endpoint.  A
-restarted replica boots with empty learner state and catches up through the
-protocol's anti-entropy (heartbeat frontier + catch-up requests), re-executing
-the decided prefix to rebuild its service state.
+restarted replica boots blank and catches up through the protocol's
+anti-entropy (heartbeat frontier + catch-up requests).  Single-group Paxos
+replicas compact their log, so after any real run the peer it asks answers
+with its checkpoint in one ``Snapshot`` frame instead of the decided
+prefix: the replica installs that state and executes only what was decided
+since (docs/ordering.md, *Log compaction*).  Grouped and sequencer
+deployments keep every instance and replay them all.
 """
 
 from __future__ import annotations

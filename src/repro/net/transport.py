@@ -17,6 +17,13 @@ Loss semantics: TCP gives per-connection FIFO, but a peer crash drops the
 frames buffered for it beyond the queue bound, and reconnection loses
 whatever was in flight — exactly the fair-lossy link model the broadcast
 protocols already tolerate.
+
+Both directions are bounded.  A connection handler stops reading while an
+inbox it feeds holds :data:`INBOX_LIMIT` frames, so a node that consumes
+slower than its peers send pushes back through TCP; the sender's outbox
+then fills and drops its oldest frames, counted per peer.  ``send`` never
+blocks, so no node ever waits on another: the slow node's backlog turns
+into loss at a bounded queue, which catch-up or a snapshot heals.
 """
 
 from __future__ import annotations
@@ -36,6 +43,12 @@ __all__ = ["GroupChannel", "TcpTransport"]
 
 #: Outbound frames buffered per peer while it is unreachable.
 DEFAULT_QUEUE_LIMIT = 1024
+
+#: Frames an inbox may hold before the connection handlers stop reading.
+INBOX_LIMIT = 256
+
+#: How often a paused connection handler looks at the inboxes again.
+_PAUSE_POLL = 0.002
 
 #: (src, msg) -> True if consumed before the inbox (client envelopes).
 Interceptor = Callable[[int, Any], bool]
@@ -78,6 +91,8 @@ class TcpTransport:
             "net_codec_frames_total", codec=self._codec.name, direction="tx")
         self._m_codec_tx_bytes = self._obs.counter(
             "net_codec_bytes_total", codec=self._codec.name, direction="tx")
+        self._m_inbox_depth = self._obs.gauge("net_inbox_depth")
+        self._m_reader_pauses = self._obs.counter("net_reader_pauses_total")
         self._addresses = dict(addresses)
         self._interceptor = interceptor
         self._queue_limit = queue_limit
@@ -85,6 +100,9 @@ class TcpTransport:
         self._backoff_max = backoff_max
         self._jitter = random.Random(seed)
         self._inbox: "queue.Queue[Tuple[int, Any]]" = queue.Queue()
+        #: Every inbox received frames end up in: the node's own, plus one
+        #: per :class:`GroupChannel` on this transport.
+        self._fed_inboxes = [self._inbox]
         self._closed = False
         self._loop = asyncio.new_event_loop()
         self._outboxes: Dict[int, asyncio.Queue] = {}   # loop thread only
@@ -219,6 +237,10 @@ class TcpTransport:
                 f"node {node_id}; each process owns exactly one node")
         return self._inbox
 
+    def inbox_depth(self) -> int:
+        """Frames waiting in the fullest inbox this transport feeds."""
+        return max(inbox.qsize() for inbox in self._fed_inboxes)
+
     def send(self, src: int, dst: int, msg: Any) -> None:
         """Frame and enqueue ``msg`` for peer ``dst`` (thread-safe)."""
         if self._closed:
@@ -299,17 +321,32 @@ class TcpTransport:
                     src, msg = codec.decode_frame(body)
                 except CodecError:
                     break  # corrupt peer: drop the connection
+                depth = self.inbox_depth()
                 if self._obs_on:
                     self._m_recv_frames.inc()
                     self._m_recv_bytes.inc(header_size + length)
                     self._m_codec_rx_frames.inc()
                     self._m_codec_rx_bytes.inc(header_size + length)
+                    self._m_inbox_depth.set(depth)
+                if depth >= INBOX_LIMIT:
+                    await self._wait_for_room()
                 self._dispatch(src, msg)
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             pass
         finally:
             self._connections.discard(writer)
             writer.close()
+
+    async def _wait_for_room(self) -> None:
+        """Hold one connection's next frame until the consumer caught up.
+
+        Nothing is read from the socket meanwhile, so the kernel buffers
+        fill and the peer's pump stalls in ``drain()``.
+        """
+        if self._obs_on:
+            self._m_reader_pauses.inc()
+        while self.inbox_depth() >= INBOX_LIMIT and not self._closed:
+            await asyncio.sleep(_PAUSE_POLL)
 
     def _dispatch(self, src: int, msg: Any) -> None:
         if self._closed:
@@ -420,6 +457,7 @@ class GroupChannel:
         self._transport = transport
         self.group = group
         self._inbox: "queue.Queue[Tuple[int, Any]]" = queue.Queue()
+        transport._fed_inboxes.append(self._inbox)
 
     def inbox(self, node_id: int) -> "queue.Queue[Tuple[int, Any]]":
         del node_id  # one node per (group, process); no routing needed

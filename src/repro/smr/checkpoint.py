@@ -10,14 +10,17 @@ A recovering replica installs a peer's checkpoint and rejoins the broadcast
 group with ``first_instance = checkpoint.instance + 1``; the heartbeat
 anti-entropy of :class:`~repro.broadcast.paxos.MultiPaxos` then pulls any
 instances decided between the checkpoint and the present.
+
+The same cut travels in-band: a Paxos node whose peer asks for instances
+it has compacted away takes a checkpoint and ships it as a
+:class:`~repro.broadcast.messages.Snapshot`, and the receiving replica
+installs it *while running* (:meth:`ParallelReplica.install_checkpoint`
+quiesces first).  :mod:`repro.smr.stack` wires the two ends together.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
-
+from repro.broadcast.messages import Snapshot
 from repro.errors import ReproError
 
 __all__ = ["Checkpoint", "CheckpointError"]
@@ -27,18 +30,7 @@ class CheckpointError(ReproError):
     """Quiescence could not be reached or a checkpoint is unusable."""
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """A consistent replica cut.
-
-    Attributes:
-        instance: Highest atomic-broadcast instance whose commands are all
-            reflected in ``state`` (-1 when nothing was delivered yet).
-        state: The service snapshot.
-        dedup: Per-client ``(request_id, response)`` cache, so a recovered
-            replica keeps exactly-once semantics across its restart.
-    """
-
-    instance: int
-    state: Any
-    dedup: Dict[str, Tuple[int, Any]] = field(default_factory=dict)
+#: A consistent replica cut, ``Checkpoint(instance, state, dedup)``.  It is
+#: the very value a Paxos node ships to a peer under its log floor, so it
+#: is that message type: no conversion on the way out or in.
+Checkpoint = Snapshot

@@ -491,17 +491,7 @@ class ParallelReplica:
         :attr:`last_instance`.
         """
         with self._deliver_lock:
-            # monotonic, not wall clock: an NTP step while quiescing must
-            # not fire the deadline early (or postpone it forever).
-            deadline = time.monotonic() + timeout
-            while True:
-                if self._pipeline_idle():
-                    break
-                if time.monotonic() > deadline:
-                    raise CheckpointError(
-                        f"replica {self.replica_id} did not quiesce within "
-                        f"{timeout}s")
-                time.sleep(0.001)
+            self._quiesce(timeout)
             with self._state_lock:
                 if self._dedup_window:
                     dedup = {
@@ -520,17 +510,44 @@ class ParallelReplica:
             return Checkpoint(self._last_instance, self.service.snapshot(),
                               dedup)
 
-    def install_checkpoint(self, checkpoint: Checkpoint) -> None:
-        """Adopt a peer's checkpoint.  Only valid before :meth:`start`."""
-        if self._started:
-            raise CheckpointError("cannot install a checkpoint while running")
-        self.service.restore(checkpoint.state)
-        if self._dedup_window:
-            self._dedup = {client: OrderedDict(window)
-                           for client, window in checkpoint.dedup.items()}
-        else:
-            self._dedup = dict(checkpoint.dedup)
-        self._last_instance = checkpoint.instance
+    def _quiesce(self, timeout: float) -> None:
+        """Wait until every admitted command has finished executing;
+        ``_deliver_lock`` held by the caller, so nothing new is admitted."""
+        # monotonic, not wall clock: an NTP step while quiescing must
+        # not fire the deadline early (or postpone it forever).
+        deadline = time.monotonic() + timeout
+        while not self._pipeline_idle():
+            if time.monotonic() > deadline:
+                raise CheckpointError(
+                    f"replica {self.replica_id} did not quiesce within "
+                    f"{timeout}s")
+            time.sleep(0.001)
+
+    def install_checkpoint(self, checkpoint: Checkpoint,
+                           timeout: float = 5.0) -> None:
+        """Adopt a peer's checkpoint, before :meth:`start` or while running.
+
+        A running replica is quiesced first, as in :meth:`take_checkpoint`:
+        delivery is blocked, the pipeline drains, then service state, dedup
+        table and ``last_instance`` are replaced as one cut.  Requests the
+        checkpoint covers are afterwards answered from its dedup table, not
+        re-executed.  A checkpoint older than what this replica already
+        delivered is ignored — installing it would roll the state back.
+        """
+        with self._deliver_lock:
+            if checkpoint.instance < self._last_instance:
+                return
+            self._quiesce(timeout)
+            self.service.restore(checkpoint.state)
+            if self._dedup_window:
+                dedup: Dict[str, Any] = {
+                    client: OrderedDict(window)
+                    for client, window in checkpoint.dedup.items()}
+            else:
+                dedup = dict(checkpoint.dedup)
+            with self._state_lock:
+                self._dedup = dedup
+            self._last_instance = checkpoint.instance
 
     def cached_response(self, client_id: str) -> Optional[Tuple[int, Any]]:
         """Last (request_id, response) executed for ``client_id``, if any."""

@@ -16,6 +16,13 @@ hierarchy: at one group the ordering node delivers straight into
 releases the streams in one deterministic order (docs/partitioning.md).
 Client batches enter through :func:`route` either way.
 
+A Multi-Paxos node that delivers straight into the replica also gets the
+replica's checkpoint hooks, and with them log compaction: it keeps the
+last :data:`~repro.broadcast.paxos.LOG_RETAIN` delivered instances and
+serves a peer further behind a snapshot (docs/ordering.md).  Behind a
+merge stage a checkpoint would have to name one frontier per group, and
+the sequencer keeps no log; both run as before.
+
 ``cfg`` is a :class:`~repro.smr.cluster.ClusterConfig` or a
 :class:`~repro.net.config.NetConfig`; the builders read only the fields
 the two share.
@@ -26,11 +33,13 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.broadcast import MultiPaxos, SequencerBroadcast, ThreadedNode
+from repro.broadcast import paxos
 from repro.core.command import Command
 from repro.groups.messages import Rendezvous, rendezvous_xid
 from repro.groups.partition import PartitionMap
 from repro.groups.stage import MergeStage
 from repro.obs.registry import MetricsRegistry
+from repro.smr.checkpoint import Checkpoint
 from repro.smr.replica import ParallelReplica, ResponseCallback
 from repro.smr.service import Service
 
@@ -47,12 +56,14 @@ DEFAULT_DEDUP_WINDOW = 1024
 def build_protocol(cfg: Any, replica_id: int, *, first_instance: int = 0,
                    stable_store: Any = None,
                    registry: Optional[MetricsRegistry] = None,
-                   optimistic: bool = False) -> Any:
+                   optimistic: bool = False, compact: bool = False) -> Any:
     """One ordering-protocol state machine for ``replica_id``.
 
     Every group of a replica is built alike, so group leaderships
     co-locate on one replica in the steady state — one leader machine, as
     in a single-group deployment — while still failing over independently.
+    ``compact`` bounds the Paxos log; the caller must then serve snapshots
+    (see :func:`build_nodes`).
     """
     if cfg.protocol == "sequencer":
         return SequencerBroadcast(replica_id, cfg.n_replicas,
@@ -75,6 +86,7 @@ def build_protocol(cfg: Any, replica_id: int, *, first_instance: int = 0,
         lease_margin=cfg.lease_margin,
         lease_reads=cfg.lease_reads,
         registry=registry,
+        log_retain=paxos.LOG_RETAIN if compact else None,
     )
 
 
@@ -127,15 +139,28 @@ def build_nodes(cfg: Any, replica_id: int, replica: ParallelReplica,
                 stable_stores: Optional[Sequence[Any]] = None,
                 registry: Optional[MetricsRegistry] = None,
                 record_history: bool = False,
+                on_install: Optional[Callable[[], None]] = None,
                 ) -> Tuple[List[ThreadedNode], Optional[MergeStage]]:
     """One ordering node per group (``transports[g]`` carries group ``g``),
     all feeding ``replica`` — directly at one group, through a
-    :class:`MergeStage` otherwise.  Returns ``(nodes, merge stage)``."""
+    :class:`MergeStage` otherwise.  Returns ``(nodes, merge stage)``.
+
+    ``on_install`` is called on the node's thread after ``replica``
+    installed a peer's snapshot (single-group Paxos only)."""
     merge = None
     if cfg.n_groups > 1:
         merge = MergeStage(replica, cfg.n_groups,
                            record_history=record_history, registry=registry)
     on_optimistic = getattr(replica, "on_optimistic", None)
+    take_snapshot = install_snapshot = None
+    if merge is None and cfg.protocol == "paxos":
+        take_snapshot = replica.take_checkpoint
+
+        def install_snapshot(cut: Checkpoint) -> None:
+            replica.install_checkpoint(cut)
+            if on_install is not None:
+                on_install()
+
     nodes = []
     for group, transport in enumerate(transports):
         if merge is None:
@@ -147,10 +172,12 @@ def build_nodes(cfg: Any, replica_id: int, replica: ParallelReplica,
         protocol = build_protocol(
             cfg, replica_id, first_instance=first_instance,
             stable_store=stable_stores[group] if stable_stores else None,
-            registry=registry, optimistic=on_optimistic is not None)
+            registry=registry, optimistic=on_optimistic is not None,
+            compact=take_snapshot is not None)
         nodes.append(ThreadedNode(
             replica_id, protocol, transport, on_deliver, name=node_name,
-            on_read=on_read, on_optimistic=on_optimistic))
+            on_read=on_read, on_optimistic=on_optimistic,
+            take_snapshot=take_snapshot, install_snapshot=install_snapshot))
     return nodes, merge
 
 

@@ -15,6 +15,7 @@ from repro.broadcast.messages import (
     Prepare,
     Promise,
     SequencerStamp,
+    Snapshot,
 )
 from repro.core.command import Command
 from repro.net.codec import (
@@ -80,6 +81,11 @@ class TestProtocolMessages:
         CatchupRequest(7),
         Heartbeat(ballot=BALLOT, decided_up_to=12),
         SequencerStamp(3, (Command("add", (9,), writes=True),)),
+        # Service state + dedup table of each app family: a sorted list
+        # (linked list), a dict with non-string keys (KV store).
+        Snapshot(instance=41, state=[1, 5, 9],
+                 dedup={"c1": (7, True), "c2": (3, None)}),
+        Snapshot(instance=-1, state={("k", 1): [2, 3], 4: "v"}),
     ])
     def test_roundtrip(self, message):
         assert roundtrip(message) == message

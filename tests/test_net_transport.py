@@ -8,7 +8,9 @@ import pytest
 from repro.core.command import Command
 from repro.errors import ConfigurationError, ShutdownError
 from repro.net.config import free_port
-from repro.net.transport import TcpTransport
+from repro.net.messages import GroupEnvelope
+from repro.net.transport import INBOX_LIMIT, GroupChannel, TcpTransport
+from repro.obs.registry import MetricsRegistry
 
 
 def make_pair(**kwargs):
@@ -232,3 +234,82 @@ class TestReconnect:
                 right.close()
         finally:
             left.close()
+
+
+class TestReceiveBackPressure:
+    """The reader stops at INBOX_LIMIT waiting frames (docs/deployment.md):
+    the backlog of a slow consumer stays in TCP, not in process memory."""
+
+    FRAMES = 4 * INBOX_LIMIT
+
+    def _assert_pauses_then_delivers_everything(self, right, inbox, send):
+        for index in range(self.FRAMES):
+            send(index)
+        deadline = time.monotonic() + 5
+        while inbox.qsize() < INBOX_LIMIT:
+            assert time.monotonic() < deadline, "inbox never filled"
+            time.sleep(0.01)
+        time.sleep(0.2)  # the sender is long done; nothing more may land
+        assert inbox.qsize() == right.inbox_depth() == INBOX_LIMIT
+        # Consuming makes room: every frame arrives, in order, and the
+        # depth never passed the limit on the way.
+        received = []
+        while len(received) < self.FRAMES:
+            assert right.inbox_depth() <= INBOX_LIMIT
+            received.extend(drain_until(inbox, 1))
+        assert [msg[-1] for _, msg in received] == list(range(self.FRAMES))
+
+    def test_reader_pauses_at_the_limit_and_resumes(self):
+        registry = MetricsRegistry()
+        addresses = {0: ("127.0.0.1", free_port()),
+                     1: ("127.0.0.1", free_port())}
+        left = TcpTransport(0, addresses, queue_limit=self.FRAMES).start()
+        right = TcpTransport(1, addresses, registry=registry).start()
+        try:
+            self._assert_pauses_then_delivers_everything(
+                right, right.inbox(1),
+                lambda index: left.send(0, 1, ("msg", index)))
+            snapshot = registry.snapshot()
+            assert snapshot["net_reader_pauses_total"]["value"] >= 1
+            assert 0 < snapshot["net_inbox_depth"]["value"] <= INBOX_LIMIT
+        finally:
+            left.close()
+            right.close()
+
+    def test_group_channel_inboxes_count(self):
+        channels = []
+
+        def demux(src, msg):
+            channels[msg.group].deliver(src, msg.msg)
+            return True
+
+        addresses = {0: ("127.0.0.1", free_port()),
+                     1: ("127.0.0.1", free_port())}
+        left = TcpTransport(0, addresses, queue_limit=self.FRAMES).start()
+        right = TcpTransport(1, addresses, interceptor=demux).start()
+        channels.extend(GroupChannel(right, group) for group in range(2))
+        try:
+            self._assert_pauses_then_delivers_everything(
+                right, channels[1].inbox(1),
+                lambda index: left.send(
+                    0, 1, GroupEnvelope(1, ("msg", index))))
+            assert channels[0].inbox(1).empty()
+        finally:
+            left.close()
+            right.close()
+
+    def test_close_releases_a_paused_reader(self):
+        left, right = make_pair(queue_limit=self.FRAMES)
+        try:
+            for index in range(self.FRAMES):
+                left.send(0, 1, ("msg", index))
+            deadline = time.monotonic() + 5
+            while right.inbox_depth() < INBOX_LIMIT:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            began = time.monotonic()
+            right.close()
+            left.close()
+        assert time.monotonic() - began < 3
+        assert not right._thread.is_alive()

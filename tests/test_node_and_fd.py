@@ -1,17 +1,20 @@
 """Tests for the threaded event-loop node and the timeout tracker."""
 
+import queue
 import time
 
 import pytest
 
 from repro.broadcast import (
+    Deliver,
     FaultPlan,
     SequencerBroadcast,
     ThreadedNode,
     ThreadedTransport,
     TimeoutTracker,
 )
-from repro.errors import ShutdownError
+from repro.broadcast.messages import InstallSnapshot, SendSnapshot, Snapshot
+from repro.errors import ReproError, ShutdownError
 
 
 class TestTimeoutTracker:
@@ -89,3 +92,106 @@ class TestThreadedNode:
             nodes[0].submit("x")
         nodes[1].stop()
         transport.close()
+
+
+class _StubProtocol:
+    """Just what the snapshot paths of the adapter touch."""
+
+    def __init__(self, next_deliver):
+        self.next_deliver = next_deliver
+        self.installed = []
+
+    def on_snapshot_installed(self, instance):
+        self.installed.append(instance)
+        return [Deliver(instance + 1, "held")]
+
+
+class _StubTransport:
+    def __init__(self):
+        self.sent = []
+        self.fail_with = None
+
+    def inbox(self, node_id):
+        return queue.Queue()
+
+    def send(self, src, dst, msg):
+        if self.fail_with is not None:
+            raise self.fail_with
+        self.sent.append((dst, msg))
+
+
+class TestSnapshotTransfer:
+    def _node(self, next_deliver=101, app_instance=100, **hooks):
+        self.takes = 0
+
+        def take():
+            self.takes += 1
+            return Snapshot(app_instance, ["state"], {"c": (1, True)})
+
+        self.delivered = []
+        self.transport = _StubTransport()
+        self.protocol = _StubProtocol(next_deliver)
+        hooks.setdefault("take_snapshot", take)
+        return ThreadedNode(
+            0, self.protocol, self.transport,
+            lambda inst, payload: self.delivered.append((inst, payload)),
+            **hooks)
+
+    def test_one_quiesce_serves_many_requests(self):
+        node = self._node()
+        # Three requests the cached cut is fresh enough for: one take.
+        node._perform([SendSnapshot(1, 90), SendSnapshot(2, 95),
+                       SendSnapshot(1, 100)])
+        assert self.takes == 1
+        assert [dst for dst, _ in self.transport.sent] == [1, 2, 1]
+        assert all(msg.instance == 100 for _, msg in self.transport.sent)
+        # The protocol moved on and asks for a newer one: a second take.
+        self.protocol.next_deliver = 301
+        node._perform([SendSnapshot(2, 172)])
+        assert self.takes == 2
+
+    def test_snapshot_is_stamped_with_the_protocol_frontier(self):
+        # Instances 98..100 were no-ops: the application last saw 97, but
+        # its state is the state after instance 100.
+        node = self._node(next_deliver=101, app_instance=97)
+        node._perform([SendSnapshot(1, 99)])
+        (_, sent), = self.transport.sent
+        assert (sent.instance, sent.state) == (100, ["state"])
+        node._perform([SendSnapshot(1, 99)])
+        assert self.takes == 1
+
+    def test_unsendable_snapshot_warns_and_the_node_goes_on(self):
+        node = self._node()
+        self.transport.fail_with = ReproError(
+            "frame of 20000000 bytes exceeds 16777216")
+        with pytest.warns(RuntimeWarning, match="exceeds 16777216"):
+            node._perform([SendSnapshot(1, 90)])
+        self.transport.fail_with = None
+        node._perform([SendSnapshot(1, 90)])
+        assert len(self.transport.sent) == 1 and self.takes == 1
+
+    def test_without_hooks_the_actions_are_dropped(self):
+        node = self._node(take_snapshot=None)
+        node._perform([SendSnapshot(1, 90),
+                       InstallSnapshot(Snapshot(5, ["s"]))])
+        assert self.transport.sent == [] and self.protocol.installed == []
+
+    def test_protocol_skips_ahead_only_after_the_install(self):
+        order = []
+        node = self._node(
+            install_snapshot=lambda snap: order.append(("install", snap)))
+        snapshot = Snapshot(200, ["state"])
+        self.protocol.on_snapshot_installed = lambda instance: (
+            order.append(("installed", instance)) or [Deliver(201, "held")])
+        node._perform([InstallSnapshot(snapshot)])
+        assert order == [("install", snapshot), ("installed", 200)]
+        assert self.delivered == [(201, "held")]
+
+    def test_failed_install_leaves_the_protocol_where_it_was(self):
+        def refuse(snapshot):
+            raise ReproError("did not quiesce within 5.0s")
+
+        node = self._node(install_snapshot=refuse)
+        with pytest.warns(RuntimeWarning, match="not installed"):
+            node._perform([InstallSnapshot(Snapshot(200, ["state"]))])
+        assert self.protocol.installed == [] and self.delivered == []

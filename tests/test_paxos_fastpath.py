@@ -128,6 +128,24 @@ class TestCumulativeAcks:
         actions = leader.on_message(1, ack.msg)
         assert delivers(actions) == [(0, ("v",))]
 
+    def test_heartbeat_ack_does_not_vouch_for_a_deposed_leaders_values(self):
+        """Regression (found by the lease harness at 10x the CI budget): a
+        heartbeat does not raise the promise, so the follower's frontier
+        was counted over entries accepted from the *old* leader while the
+        ack was stamped with the new ballot — the new leader then decided
+        its own, different proposals for those instances with no quorum."""
+        follower = MultiPaxos(1, 3, lease_duration=0.16, lease_margin=0.02)
+        for inst in range(3):
+            follower.on_message(0, Accept((0, 0), inst, (f"old{inst}",)))
+        new_leader = MultiPaxos(2, 3, batch_size=1, pipeline=8)
+        new_leader.is_leader, new_leader.ballot = True, (1, 2)
+        for token in "xyz":
+            new_leader.submit(token)
+        (ack,) = sends(follower.on_message(2, Heartbeat((1, 2), 0, 0.0)),
+                       HeartbeatAck)
+        assert ack.msg.accepted_up_to == -1
+        assert delivers(new_leader.on_message(1, ack.msg)) == []
+
 
 class TestLeaseReads:
     def test_read_served_locally_under_valid_lease(self):

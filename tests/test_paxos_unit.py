@@ -11,6 +11,7 @@ from repro.broadcast import (
     Deliver,
     Forward,
     Heartbeat,
+    InMemoryStableStore,
     MultiPaxos,
     Nack,
     Prepare,
@@ -18,7 +19,13 @@ from repro.broadcast import (
     Send,
     SetTimer,
 )
-from repro.broadcast.paxos import HEARTBEAT_TIMER, LEADER_TIMER, NOOP
+from repro.broadcast.messages import InstallSnapshot, SendSnapshot, Snapshot
+from repro.broadcast.paxos import (
+    CATCHUP_CHUNK,
+    HEARTBEAT_TIMER,
+    LEADER_TIMER,
+    NOOP,
+)
 from repro.errors import ConfigurationError
 
 
@@ -282,3 +289,192 @@ class TestRetransmission:
         second = follower.on_message(0, Accept((0, 0), 0, ("v",)))
         assert sends(first, Accepted) and sends(second, Accepted)
         assert follower.accepted[0] == ((0, 0), ("v",))
+
+
+def learner(retain, decided=0, node_id=1, **kwargs):
+    """A follower that learned (and delivered) instances 0..decided-1."""
+    node = MultiPaxos(node_id, 3, log_retain=retain, **kwargs)
+    for inst in range(decided):
+        node.on_message(0, Decide(inst, (f"v{inst}",)))
+    return node
+
+
+def picked(actions, kind):
+    return [a for a in actions if isinstance(a, kind)]
+
+
+class TestLogCompaction:
+    def test_retains_only_the_last_delivered_instances(self):
+        backing = {}
+        node = learner(4, decided=10,
+                       stable_store=InMemoryStableStore(backing))
+        assert sorted(node.decided) == [6, 7, 8, 9]
+        assert (node.log_floor, node.next_deliver) == (6, 10)
+        # The stable store shrinks with the log and remembers the floor.
+        assert sorted(key[1] for key in backing
+                      if isinstance(key, tuple)) == [6, 7, 8, 9]
+        assert backing["log_floor"] == 6
+
+    def test_bare_protocol_keeps_everything(self):
+        node = learner(None, decided=10)
+        assert len(node.decided) == 10 and node.log_floor == 0
+
+    def test_undelivered_tail_is_never_dropped(self):
+        node = learner(2, decided=3)
+        for inst in (5, 6, 7, 8):  # instance 3 is missing: nothing delivers
+            node.on_message(0, Decide(inst, (f"v{inst}",)))
+        assert sorted(node.decided) == [1, 2, 5, 6, 7, 8]
+
+    def test_relearn_below_floor_is_ignored(self):
+        node = learner(2, decided=6)
+        assert node.on_message(0, Decide(1, ("v1",))) == []
+        assert node.on_message(0, CatchupReply({0: ("v0",), 2: ("v2",)})) == []
+        assert sorted(node.decided) == [4, 5]
+
+    def test_late_accept_of_delivered_instance_is_acked_not_stored(self):
+        backing = {}
+        node = learner(2, decided=6,
+                       stable_store=InMemoryStableStore(backing))
+        actions = node.on_message(0, Accept((0, 0), 1, ("v1",)))
+        assert sends(actions, Accepted)
+        assert node.accepted == {} and ("accepted", 1) not in backing
+
+    def test_catchup_below_floor_emits_the_snapshot_action(self):
+        node = learner(4, decided=10)
+        actions = node.on_message(2, CatchupRequest(5))
+        # Floor 6: a cached checkpoint is good from the newer half of the
+        # retained window on (instance 9 - 4 // 2).
+        assert actions == [SendSnapshot(2, 7)]
+        assert node.snapshots_sent == 1
+
+    def test_catchup_at_the_floor_replays_instances(self):
+        node = learner(4, decided=10)
+        (reply,) = sends(node.on_message(2, CatchupRequest(6)), CatchupReply)
+        assert reply.msg == CatchupReply(
+            {inst: (f"v{inst}",) for inst in (6, 7, 8, 9)}, more=False)
+
+    def test_catchup_is_a_range_plus_the_sparse_tail(self):
+        node = learner(None, decided=CATCHUP_CHUNK + 10)
+        tail = CATCHUP_CHUNK + 12  # decided above a gap, not delivered
+        node.on_message(0, Decide(tail, ("tail",)))
+        (first,) = sends(node.on_message(2, CatchupRequest(0)), CatchupReply)
+        assert sorted(first.msg.decided) == list(range(CATCHUP_CHUNK))
+        assert first.msg.more
+        (rest,) = sends(node.on_message(2, CatchupRequest(CATCHUP_CHUNK)),
+                        CatchupReply)
+        assert sorted(rest.msg.decided) == [
+            *range(CATCHUP_CHUNK, CATCHUP_CHUNK + 10), tail]
+        assert not rest.msg.more
+        # A requester already past the prefix gets the tail alone.
+        (above,) = sends(node.on_message(2, CatchupRequest(tail - 1)),
+                         CatchupReply)
+        assert sorted(above.msg.decided) == [tail]
+
+    def test_install_fast_forwards_then_delivers_the_held_suffix(self):
+        backing = {}
+        node = learner(4, decided=2,
+                       stable_store=InMemoryStableStore(backing))
+        node.on_message(0, Accept((0, 0), 3, ("v3",)))       # skipped below
+        node.on_message(0, Decide(7, ("v7",)))               # held suffix
+        node.on_message(0, Decide(8, ("v8",)))
+        snapshot = Snapshot(6, ["state"], {"c": (1, True)})
+        actions = node.on_message(0, snapshot)
+        # Nothing moves until the adapter has restored the application.
+        assert actions == [InstallSnapshot(snapshot)]
+        assert node.next_deliver == 2
+        actions = node.on_snapshot_installed(6)
+        assert delivers(actions) == [(7, ("v7",)), (8, ("v8",))]
+        assert (node.log_floor, node.next_deliver) == (7, 9)
+        assert sorted(node.decided) == [7, 8] and node.accepted == {}
+        assert backing["log_floor"] == 7
+        assert not any(isinstance(key, tuple) and key[1] < 7
+                       for key in backing)
+        assert node.snapshots_installed == 1
+
+    def test_stale_snapshot_is_ignored(self):
+        node = learner(4, decided=5)
+        assert node.on_message(0, Snapshot(4, ["old"])) == []
+        assert node.on_message(0, Snapshot(2, ["older"])) == []
+        assert node.on_snapshot_installed(3) == []
+        assert node.next_deliver == 5
+
+    def test_leader_ignores_snapshots(self):
+        leader = MultiPaxos(0, 3, log_retain=4)
+        assert leader.on_message(1, Snapshot(9, ["state"])) == []
+
+    def test_install_abandons_a_campaign_from_the_old_frontier(self):
+        node = learner(4, decided=1)
+        node.start()
+        node.on_timer(LEADER_TIMER)
+        node.on_timer(LEADER_TIMER)
+        assert node.preparing is not None
+        node.on_snapshot_installed(20)
+        assert node.preparing is None and not node.is_leader
+        # A straggling promise for the abandoned ballot elects nobody.
+        assert node.on_message(0, Promise((1, 1), {})) == []
+        assert not node.is_leader
+
+    def test_prepare_below_floor_is_refused_with_a_snapshot(self):
+        node = learner(4, decided=10, lease_duration=0)
+        actions = node.on_message(2, Prepare((1, 2), from_instance=3))
+        assert picked(actions, SendSnapshot) and not sends(actions)
+        assert node.promised == (-1, -1)  # no trace of the refused ballot
+        # From the floor on the promise can report every decided value.
+        actions = node.on_message(2, Prepare((1, 2), from_instance=6))
+        (promise,) = sends(actions, Promise)
+        assert sorted(promise.msg.accepted) == [6, 7, 8, 9]
+
+    def test_checkpoint_restart_cannot_vouch_for_the_skipped_prefix(self):
+        node = MultiPaxos(1, 3, first_instance=10, lease_duration=0)
+        actions = node.on_message(2, Prepare((1, 2), from_instance=4))
+        assert actions == [SendSnapshot(2, 9)]
+
+
+class TestFloorSurvivesRestart:
+    def _crashed(self):
+        """A compacting follower's stable store after ten instances."""
+        backing = {}
+        node = learner(4, decided=10, lease_duration=0,
+                       stable_store=InMemoryStableStore(backing))
+        node.on_message(0, Accept((0, 0), 10, ("v10",)))  # in flight
+        return backing
+
+    def _rebuilt(self, backing, first_instance=0):
+        return MultiPaxos(1, 3, log_retain=4, first_instance=first_instance,
+                          stable_store=InMemoryStableStore(backing),
+                          lease_duration=0)
+
+    def test_restore_does_not_resurrect_the_pruned_prefix(self):
+        backing = self._crashed()
+        backing[("decided", 2)] = ("torn-delete",)
+        node = self._rebuilt(backing)
+        assert node.log_floor == 6 and sorted(node.decided) == [6, 7, 8, 9]
+        assert ("decided", 2) not in backing
+        # It still cannot vouch below the floor it compacted to.
+        actions = node.on_message(2, Prepare((1, 2), from_instance=3))
+        assert not sends(actions, Promise)
+
+    def test_newer_checkpoint_raises_the_floor(self):
+        backing = self._crashed()
+        node = self._rebuilt(backing, first_instance=8)
+        assert (node.log_floor, node.next_deliver) == (8, 8)
+        assert sorted(node.decided) == [8, 9]
+        assert backing["log_floor"] == 8 and ("decided", 7) not in backing
+
+    def test_blank_application_under_its_own_floor(self):
+        """Rebuilt with an application older than the persisted floor
+        (here: blank), the node re-fetches [0, floor) from a peer that
+        still has it — and until then neither campaigns nor offers a
+        snapshot, since its own state is the stale one."""
+        node = self._rebuilt(self._crashed())
+        assert (node.next_deliver, node.log_floor) == (0, 6)
+        node.start()
+        node.on_timer(LEADER_TIMER)
+        assert not sends(node.on_timer(LEADER_TIMER), Prepare)
+        assert node.on_message(2, CatchupRequest(3)) == []
+        actions = node.on_message(0, CatchupReply(
+            {inst: (f"v{inst}",) for inst in range(6)}))
+        # Delivered through the restored suffix, and the re-fetched prefix
+        # is not kept: the floor stands.
+        assert [inst for inst, _ in delivers(actions)] == list(range(10))
+        assert sorted(node.decided) == [6, 7, 8, 9] and node.log_floor == 6

@@ -9,7 +9,7 @@ from repro.broadcast.storage import InMemoryStableStore
 from repro.broadcast import MultiPaxos, Accept, Prepare
 from repro.core.command import Command
 from repro.smr import ClusterConfig, ThreadedCluster
-from repro.smr.checkpoint import Checkpoint, CheckpointError
+from repro.smr.checkpoint import Checkpoint
 from repro.smr.replica import ParallelReplica
 
 
@@ -132,12 +132,50 @@ class TestReplicaCheckpoint:
         finally:
             replica.stop()
 
-    def test_install_while_running_rejected(self):
+    def test_install_while_running_quiesces_and_restores(self):
+        answered = []
+        replica = ParallelReplica(
+            0, KVStoreService(), workers=3,
+            on_response=lambda cmd, resp, rid: answered.append(
+                (cmd.client_id, cmd.request_id, resp)))
+        replica.start()
+        try:
+            replica.on_deliver(0, tuple(
+                Command("put", (f"k{i}", i), client_id=f"c{i}", request_id=1,
+                        writes=True) for i in range(30)))
+            # No wait: the install itself must drain the 30 puts first, or
+            # a straggler would write into the restored state.
+            replica.install_checkpoint(
+                Checkpoint(9, {"a": 1}, {"c": (4, "cached")}))
+            assert replica.executed == 30
+            assert replica.service.snapshot() == {"a": 1}
+            assert replica.last_instance == 9
+            answered.clear()
+            # Covered by the snapshot: the latest request is re-answered
+            # from its dedup table, an older one dropped; neither runs.
+            replica.on_deliver(10, (
+                Command("put", ("a", 2), client_id="c", request_id=4,
+                        writes=True),
+                Command("put", ("a", 3), client_id="c", request_id=3,
+                        writes=True)))
+            assert answered == [("c", 4, "cached")]
+            # Delivery goes on from the installed cut.
+            replica.on_deliver(11, (Command(
+                "put", ("b", 2), client_id="c", request_id=5, writes=True),))
+            assert wait_for(lambda: replica.executed == 31)
+            assert replica.service.snapshot() == {"a": 1, "b": 2}
+        finally:
+            replica.stop()
+
+    def test_stale_checkpoint_is_ignored_while_running(self):
         replica = ParallelReplica(0, KVStoreService(), workers=1)
         replica.start()
         try:
-            with pytest.raises(CheckpointError):
-                replica.install_checkpoint(Checkpoint(0, {}))
+            replica.on_deliver(
+                5, (Command("put", ("k", 1), writes=True),))
+            replica.install_checkpoint(Checkpoint(3, {"old": 0}))
+            assert replica.last_instance == 5
+            assert wait_for(lambda: replica.service.snapshot() == {"k": 1})
         finally:
             replica.stop()
 

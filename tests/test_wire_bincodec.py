@@ -28,6 +28,7 @@ from repro.broadcast.messages import (
     Forward,
     Heartbeat,
     Promise,
+    Snapshot,
 )
 from repro.core.command import Command
 from repro.net import bincodec
@@ -97,7 +98,7 @@ def _command(rng: random.Random) -> Command:
 
 def _message(rng: random.Random, depth: int = 0):
     ballot = (rng.randrange(100), rng.randrange(5))
-    choice = rng.randrange(8)
+    choice = rng.randrange(9)
     if choice == 0:
         return Accept(ballot, rng.randrange(1000), _value(rng, depth + 1))
     if choice == 1:
@@ -116,6 +117,12 @@ def _message(rng: random.Random, depth: int = 0):
     if choice == 6:
         return CatchupReply({rng.randrange(100): _value(rng, depth + 1)
                              for _ in range(rng.randrange(3))})
+    if choice == 7:
+        return Snapshot(
+            rng.randrange(-1, 1000), _value(rng, depth + 1),
+            {"c-%d" % rng.randrange(8): (rng.randrange(1000),
+                                         _value(rng, depth + 1))
+             for _ in range(rng.randrange(3))})
     return _command(rng)
 
 
@@ -158,6 +165,17 @@ class TestDifferentialFuzz:
                 f"{name} is registered for JSON but has no binary tag")
         assert sorted(tags.values()) == list(
             range(0x20, 0x20 + len(WIRE_TYPES)))
+
+    def test_tag_table_is_pinned_to_the_wire_version(self):
+        # Tag bytes follow the sorted registry names, so adding, removing
+        # or renaming a type renumbers the wire: bump WIRE_VERSION with it
+        # and update this list.
+        assert (bincodec.WIRE_VERSION, sorted(WIRE_TYPES)) == (5, [
+            "Accept", "Accepted", "CatchupReply", "CatchupRequest",
+            "ClientRequest", "ClientResponse", "Command", "Decide",
+            "Forward", "GroupEnvelope", "Heartbeat", "HeartbeatAck", "Nack",
+            "NewEpoch", "OptimisticAnnounce", "Prepare", "Promise",
+            "Rendezvous", "SequencerStamp", "Snapshot"])
 
     @pytest.mark.parametrize("bad", [
         float("nan"),
