@@ -19,6 +19,11 @@ the checker catches every one within a bounded exploration budget:
   already-collected dependency observes a *prefix* of the dependency set
   and marks the node ready before its later conflicts are recorded:
   **conflict-order** (or a double readiness credit).
+- ``drop-edges-at-unlink`` — ``lfRemove`` reports its sweep of ``dep_me``
+  finished *before* loading it, so the unlinking ``helpedRemove`` alone
+  releases the snapshot (:meth:`LockFreeNode.drop_dead_edges` waits for
+  both): a remover that has stored ``rmd`` but not yet loaded ``dep_me``
+  finds it empty and its dependents never turn ready: **deadlock**.
 - ``indexed-skip-reader-tracking`` — the indexed COS's writer insert
   consults only the conflict class's last writer and ignores the readers
   recorded since that write, so a new writer never orders after live
@@ -131,6 +136,22 @@ class PrematurePublishCOS(LockFreeCOS):
         return ready
 
 
+class DropEdgesAtUnlinkCOS(LockFreeCOS):
+    """lfRemove whose ``dep_me`` can be dropped under it at unlink."""
+
+    def _lf_remove(self, node: LockFreeNode) -> EffectGen:
+        yield Store(node.st, REMOVED)
+        # BUG: "swept" is claimed before dep_me is even loaded, so an
+        # insert that unlinks the node in between empties the snapshot
+        # and the dependents below are never tested.
+        node.swept = True
+        freed = 0
+        dependents = yield Load(node.dep_me)
+        for dependent in dependents:
+            freed += yield from self._test_ready(dependent)
+        return freed
+
+
 class IndexedSkipReaderTrackingCOS(IndexedCOS):
     """Indexed insert whose writers ignore the readers of their class."""
 
@@ -156,6 +177,7 @@ MUTANTS = {
     "skip-cas-retry": SkipCasRetryCOS,
     "drop-helped-remove": DropHelpedRemoveCOS,
     "premature-publish": PrematurePublishCOS,
+    "drop-edges-at-unlink": DropEdgesAtUnlinkCOS,
     "indexed-skip-reader-tracking": IndexedSkipReaderTrackingCOS,
     "early-skip-barrier": EarlySkipBarrierCOS,
 }

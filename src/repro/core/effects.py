@@ -6,7 +6,9 @@ An interpreter — the *runtime* — performs each effect and sends its result
 back into the generator:
 
 - :class:`~repro.core.threaded.ThreadedRuntime` performs effects with real
-  ``threading`` primitives, so the algorithms run on OS threads.
+  ``threading`` primitives, so the algorithms run on OS threads
+  (:class:`~repro.core.threaded.ThreadedCOS` runs the same generators
+  rewritten, mechanically, into those calls).
 - :class:`~repro.sim.runtime.SimRuntime` performs effects inside a
   deterministic discrete-event simulator, charging a cost model, so the same
   algorithm code yields the paper's performance experiments without being
@@ -165,9 +167,11 @@ class Store(Effect):
 class Cas(Effect):
     """Atomic compare-and-set on an atomic cell.
 
-    If the cell's value equals ``expected`` (by ``==``), replace it with
-    ``new`` and return ``True``; otherwise leave it unchanged and return
-    ``False``.  This is the paper's ``compareAndSet`` (Alg. 6, line 12).
+    If the cell's value *is* ``expected`` (reference identity, as Java's
+    ``AtomicReference``; ``==`` would let a distinct-but-equal object
+    win), replace it with ``new`` and return ``True``; otherwise leave it
+    unchanged and return ``False``.  This is the paper's ``compareAndSet``
+    (Alg. 6, line 12).
     """
 
     __slots__ = ("cell", "expected", "new")

@@ -424,8 +424,8 @@ class IndexedCOS(COS):
                 if writer is node:
                     new_entry = (None, readers)
                 elif node in readers:
-                    new_entry = (writer,
-                                 tuple(r for r in readers if r is not node))
+                    new_entry = (writer,   # via a list: see lock_free.py
+                                 tuple([r for r in readers if r is not node]))
                 else:
                     break  # already displaced by a later writer
                 ok = yield Cas(cell, entry, new_entry)

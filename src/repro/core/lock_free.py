@@ -170,13 +170,18 @@ class LockFreeCOS(COS):
             if dep_on is not None and node in dep_on:
                 if edge:
                     yield Work(edge)
-                pruned = tuple(d for d in dep_on if d is not node)
+                # Via a list: tuple(<genexpr>) takes a 10-slot tuple off
+                # one CPython free list and releases it into another size's,
+                # ratcheting every list to its cap (~4 MB per replica).
+                pruned = tuple([d for d in dep_on if d is not node])
                 yield Store(dependent.dep_on, pruned)
         nxt = yield Load(node.nxt)
         if prev is None:
             yield Store(self._head, nxt)   # Alg. 7 l. 9 (LPrmv)
         else:
             yield Store(prev.nxt, nxt)     # Alg. 7 l. 11 (LPrmv)
+        node.unlinked = True
+        node.drop_dead_edges()
 
     def _lf_insert(self, cmd: Command) -> EffectGen:
         """Alg. 7 ``lfInsert``: traverse, help removals, collect conflicts,
@@ -249,6 +254,8 @@ class LockFreeCOS(COS):
             if visit:
                 yield Work(visit)
             freed += yield from self._test_ready(dependent)
+        node.swept = True
+        node.drop_dead_edges()
         return freed
 
     # ------------------------------------------------------------ inspection

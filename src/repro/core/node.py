@@ -89,10 +89,10 @@ class LockFreeNode:
     """Node of the lock-free DAG (Alg. 6).
 
     ``st`` is the atomic state cell driven by compare-and-set; ``dep_on`` and
-    ``dep_me`` hold immutable snapshots (a frozenset and a tuple) inside
-    atomic cells so that concurrent readers always observe a consistent set
-    while the single insert thread publishes new snapshots; ``nxt`` is the
-    atomic successor reference in arrival order (Alg. 6, line 7).
+    ``dep_me`` hold immutable snapshots (tuples) inside atomic cells so that
+    concurrent readers always observe a consistent set while the single
+    insert thread publishes new snapshots; ``nxt`` is the atomic successor
+    reference in arrival order (Alg. 6, line 7).
 
     ``dep_on`` starts as ``None`` — *unpublished*.  While the insert is still
     traversing the graph, a concurrent ``lfRemove`` of an already-collected
@@ -101,10 +101,14 @@ class LockFreeNode:
     (the hazard the paper flags in §6.2: "a node could be wrongly considered
     ready for execution due to missing dependencies under insertion").
     ``testReady`` treats ``None`` as "not ready"; the insert publishes the
-    complete frozenset immediately before linking the node.
+    complete tuple immediately before linking the node.
+
+    ``swept`` (the remover finished iterating ``dep_me``) and ``unlinked``
+    (by the insert thread) are plain flags for :meth:`drop_dead_edges`.
     """
 
-    __slots__ = ("cmd", "seq", "st", "dep_on", "dep_me", "nxt")
+    __slots__ = ("cmd", "seq", "st", "dep_on", "dep_me", "nxt",
+                 "swept", "unlinked")
 
     def __init__(self, cmd: Command, seq: int, runtime: Runtime):
         self.cmd = cmd
@@ -113,6 +117,26 @@ class LockFreeNode:
         self.dep_on = runtime.atomic(None)  # None = dependency set unpublished
         self.dep_me = runtime.atomic(())
         self.nxt = runtime.atomic(None)
+        self.swept = self.unlinked = False
+
+    def drop_dead_edges(self) -> None:
+        """Release ``dep_me`` once no effect can read it again.
+
+        A removed node stays reachable through the ``nxt`` of every older
+        handle held anywhere, and so would its up-to-``max_size``-entry
+        snapshot.  Its last two readers are the remover's ``lfRemove`` and
+        the unlinking ``helpedRemove``; whichever finishes second drops it.
+        At unlink alone, a remover that has stored ``rmd`` but not yet
+        loaded ``dep_me`` would find it empty and never wake its
+        dependents; at remover-end alone, ``helpedRemove`` would find
+        nothing to prune and ``dep_on`` would pin the removed nodes instead
+        (pruned as it is, ``dep_on`` reaches ``()`` by itself).  Each caller
+        sets its own flag *before* calling, so under any interleaving the
+        later one — or both — sees both.  A plain write, not a ``Store``:
+        nothing loads the cell afterwards, so no schedule can observe it.
+        """
+        if self.swept and self.unlinked:
+            self.dep_me.value = ()
 
     def __repr__(self) -> str:
         return f"LockFreeNode(seq={self.seq}, {self.cmd!r})"

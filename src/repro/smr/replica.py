@@ -185,10 +185,17 @@ class ParallelReplica:
         if not self._started or self._stopping:
             return
         self._stopping = True
-        for _ in range(self.workers):
-            self._cos.insert(Command(op=STOP_OP, writes=True))
+        self._insert_stop_pills(self.workers)
         for thread in self._threads:
             thread.join(timeout)
+
+    def _insert_stop_pills(self, count: int) -> None:
+        """Retire ``count`` workers.  Under ``_deliver_lock`` like every COS
+        insert — ``lfInsert`` is single-writer (core/lock_free.py); workers
+        never take it, so a delivery blocked on a full graph still drains."""
+        with self._deliver_lock:
+            for _ in range(count):
+                self._cos.insert(Command(op=STOP_OP, writes=True))
 
     def resize_workers(self, workers: int) -> None:
         """Reconfigure the worker pool at runtime.
@@ -216,8 +223,7 @@ class ParallelReplica:
                 self._threads.append(thread)
                 thread.start()
         else:
-            for _ in range(-delta):
-                self._cos.insert(Command(op=STOP_OP, writes=True))
+            self._insert_stop_pills(-delta)
         self.workers = workers
 
     # --------------------------------------------------------- SMR plumbing
@@ -407,41 +413,46 @@ class ParallelReplica:
             m_busy = obs.histogram("worker_busy_seconds", worker=worker)
             m_commands = obs.counter("worker_commands_total", worker=worker)
         while True:
+            # Nothing of the last batch may survive into the blocking
+            # get(): a node keeps, through ``nxt``, every node inserted
+            # after it alive, and an idle worker can sit here for long.
+            handle = handles = extra = stop_handle = command = commands = None
             handle = cos.get()
             command = cos.command_of(handle)
             if command.op == STOP_OP:
                 cos.remove(handle)
                 return
-            batch = [(handle, command)]
-            stop_handle = None
-            while stop_handle is None and len(batch) < batch_limit:
+            handles = [handle]
+            commands = [command]
+            while stop_handle is None and len(handles) < batch_limit:
                 # Drain whatever else is ready right now: simultaneously
                 # ready commands are pairwise non-conflicting, so they can
                 # ride to the engine in one execute_many batch.
                 extra = cos.try_get()
                 if extra is None:
                     break
-                extra_command = cos.command_of(extra)
-                if extra_command.op == STOP_OP:
+                command = cos.command_of(extra)
+                if command.op == STOP_OP:
                     # A stop pill conflicts with everything, so it cannot
                     # normally be ready alongside live work; handle it
                     # anyway — finish the batch, then retire.
                     stop_handle = extra
                 else:
-                    batch.append((extra, extra_command))
+                    handles.append(extra)
+                    commands.append(command)
             if obs_on:
                 started = obs.clock()
-                for _, cmd in batch:
-                    obs.span(span_key(cmd), "executing")
-            self._run_batch([cmd for _, cmd in batch])
+                for command in commands:
+                    obs.span(span_key(command), "executing")
+            self._run_batch(commands)
             if obs_on:
                 m_busy.observe(obs.clock() - started)
-                m_commands.inc(len(batch))
-                self._m_executed.inc(len(batch))
-                for _, cmd in batch:
-                    obs.span(span_key(cmd), "responded")
-            for h, _ in batch:
-                cos.remove(h)
+                m_commands.inc(len(commands))
+                self._m_executed.inc(len(commands))
+                for command in commands:
+                    obs.span(span_key(command), "responded")
+            for handle in handles:
+                cos.remove(handle)
             if stop_handle is not None:
                 cos.remove(stop_handle)
                 return

@@ -17,7 +17,10 @@ from repro.check.mutants import MUTANTS, make_mutant
 #: skip-cas-retry needs two *simultaneously ready* commands, so an all-reads
 #: workload; drop-helped-remove leaks on any workload with removals;
 #: premature-publish needs a remover racing a dependency-collecting insert,
-#: so a conflict-heavy all-writes workload with a spare capacity token.
+#: so a conflict-heavy all-writes workload with a spare capacity token;
+#: drop-edges-at-unlink needs an insert to unlink a node between its
+#: remover's ``rmd`` store and ``dep_me`` load while a dependent waits on
+#: it alone — the same all-writes workload, two preemptions deep.
 MUTANT_CASES = {
     "skip-cas-retry": (
         CheckConfig(workers=2, commands=2, max_size=2, write_every=0,
@@ -33,6 +36,11 @@ MUTANT_CASES = {
         CheckConfig(workers=2, commands=3, max_size=3, write_every=1,
                     mutant="premature-publish"),
         "conflict-order",
+    ),
+    "drop-edges-at-unlink": (
+        CheckConfig(workers=2, commands=3, max_size=3, write_every=1,
+                    mutant="drop-edges-at-unlink"),
+        "deadlock",
     ),
     # write / read / write on one conflict class: once the first write is
     # removed the index entry is (None, (reader,)), so the second write's

@@ -1,5 +1,6 @@
 """Tests for effect tracing and worker-pool reconfiguration."""
 
+import threading
 import time
 
 import pytest
@@ -104,6 +105,70 @@ class TestResizeWorkers:
             assert self._drain(replica, 30)
         finally:
             replica.stop()
+
+    def test_shrink_during_delivery_keeps_insert_single_writer(self):
+        """Regression: ``resize_workers`` (shrink) and ``stop`` inserted
+        their stop pills without ``_deliver_lock``, racing the delivery
+        thread's insert although lfInsert is single-writer (§6.2.1)."""
+
+        class OwnedLock:
+            """``threading.Lock`` that knows which thread holds it."""
+
+            def __init__(self):
+                self._lock = threading.Lock()
+                self.owner = None
+
+            def __enter__(self):
+                self._lock.acquire()
+                self.owner = threading.get_ident()
+
+            def __exit__(self, *exc):
+                self.owner = None
+                self._lock.release()
+
+        executions = []
+        service = KVStoreService()
+        execute = service.execute
+        service.execute = lambda cmd: (executions.append(cmd.uid),
+                                       execute(cmd))[1]
+        replica = ParallelReplica(0, service, workers=4)
+        lock = replica._deliver_lock = OwnedLock()
+        insert = replica._cos.insert
+        unowned, mid_delivery, go_on = [], threading.Event(), threading.Event()
+        commands = tuple(Command("put", (f"k{i}", i), writes=True)
+                         for i in range(40))
+
+        def spying_insert(cmd):
+            if lock.owner != threading.get_ident():
+                unowned.append(cmd)
+            if cmd is commands[20]:      # park the delivery mid-batch
+                mid_delivery.set()
+                go_on.wait(5.0)
+            insert(cmd)
+
+        replica._cos.insert = spying_insert
+        replica.start()
+        deliverer = threading.Thread(
+            target=replica.on_deliver, args=(0, commands), daemon=True)
+        resizer = threading.Thread(
+            target=replica.resize_workers, args=(1,), daemon=True)
+        try:
+            deliverer.start()
+            assert mid_delivery.wait(5.0)
+            resizer.start()
+            resizer.join(0.3)            # parent: the pills went in here
+            go_on.set()
+            deliverer.join(5.0)
+            resizer.join(5.0)
+            assert not deliverer.is_alive() and not resizer.is_alive()
+            assert self._drain(replica, 40)
+            assert unowned == []
+            assert sorted(executions) == sorted(c.uid for c in commands)
+            assert replica.workers == 1
+        finally:
+            go_on.set()
+            replica.stop()
+        assert unowned == []             # stop's pills took the lock too
 
     def test_resize_before_start_rejected(self):
         replica = ParallelReplica(0, KVStoreService(), workers=2)
