@@ -15,6 +15,10 @@ Subcommands:
 - ``net replica|supervise|client|bench [...]`` — the TCP multi-process
   deployment: replica/client processes, a local cluster supervisor, and a
   loopback benchmark (see ``docs/deployment.md``).
+
+Each handler imports the stack it runs when it runs (``check`` loads no
+figure harness, ``figures`` no model checker); ``python -m repro net ...``
+does not come through this module at all (:mod:`repro.__main__`).
 """
 
 from __future__ import annotations
@@ -23,26 +27,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.bench import (
-    ablation_batch_size,
-    plot_figure,
-    ablation_class_scheduler,
-    ablation_graph_size,
-    ablation_handoff_cost,
-    ablation_keyed_conflicts,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    print_figure,
-    run_standalone,
-)
-from repro.bench.harness import StandaloneConfig
 from repro.core import COS_ALGORITHMS
 from repro.net.cli import add_net_parser, run_net
 from repro.sim import PROFILES
-from repro.smr.sim_cluster import SimClusterConfig, run_sim_cluster
 
 __all__ = ["main"]
 
@@ -165,6 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    from repro.bench import (figure2, figure3, figure4, figure5, figure6,
+                             plot_figure, print_figure)
+
     wanted = set(args.names) or {"fig2", "fig3", "fig4", "fig5", "fig6"}
     quick = not args.full
     show = (lambda fig: print(plot_figure(fig))) if args.plot else print_figure
@@ -201,6 +191,8 @@ def _cmd_standalone(args: argparse.Namespace) -> int:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
+    from repro.bench import StandaloneConfig, run_standalone
+
     result = run_standalone(StandaloneConfig(
         algorithm=args.algorithm,
         workers=args.workers,
@@ -265,6 +257,8 @@ def _cmd_smr(args: argparse.Namespace) -> int:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
+    from repro.smr.sim_cluster import SimClusterConfig, run_sim_cluster
+
     result = run_sim_cluster(SimClusterConfig(
         algorithm=args.algorithm,
         workers=args.workers,
@@ -550,6 +544,10 @@ def _cmd_check_spec(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablations(args: argparse.Namespace) -> int:
+    from repro.bench import (ablation_batch_size, ablation_class_scheduler,
+                             ablation_graph_size, ablation_handoff_cost,
+                             ablation_keyed_conflicts, print_figure)
+
     quick = not args.full
     for runner in (ablation_graph_size, ablation_batch_size,
                    ablation_keyed_conflicts, ablation_handoff_cost,

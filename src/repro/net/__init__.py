@@ -3,7 +3,7 @@
 The in-process drivers (:class:`~repro.broadcast.transport.ThreadedTransport`
 and the simulated cluster) connect protocol nodes through queues.  This
 package provides the third driver the ROADMAP's production north star needs:
-an asyncio **TCP transport** with the same ``send``/``inbox`` contract, so
+a **TCP transport** with the same ``send``/``inbox`` contract, so
 :class:`~repro.broadcast.node.ThreadedNode`, the broadcast protocols, and
 the replicas run *unchanged* over real sockets — and, through the
 multi-process launcher (``python -m repro net ...``), each replica gets its
@@ -13,8 +13,9 @@ Layers:
 
 - :mod:`repro.net.codec` — JSON-safe, length-prefixed wire codec for the
   protocol messages and :class:`~repro.core.command.Command`.
-- :mod:`repro.net.transport` — :class:`TcpTransport`: asyncio server +
-  per-peer outbound queues with reconnect/backoff/jitter.
+- :mod:`repro.net.transport` — :class:`TcpTransport`: one ``selectors``
+  reactor thread — server socket, per-peer bounded outboxes written in
+  coalesced batches, reconnect/backoff/jitter.
 - :mod:`repro.net.replica` — :class:`ReplicaServer`: one replica (protocol
   node + execution engine) bound to a TCP endpoint.
 - :mod:`repro.net.client` — :class:`NetClient`: the closed-loop SMR client
@@ -28,28 +29,36 @@ Layers:
   JSON artifact (``python -m repro net bench``).
 """
 
-from repro.net.client import NetClient
-from repro.net.cluster import TcpCluster
-from repro.net.codec import CodecError, decode, decode_frame, encode, encode_frame
-from repro.net.config import NetConfig, free_port
-from repro.net.messages import ClientRequest, ClientResponse
-from repro.net.replica import ReplicaServer
-from repro.net.supervisor import Supervisor
-from repro.net.transport import TcpTransport
+import importlib
+from typing import Any
 
-__all__ = [
-    "CodecError",
-    "ClientRequest",
-    "ClientResponse",
-    "NetClient",
-    "NetConfig",
-    "ReplicaServer",
-    "Supervisor",
-    "TcpCluster",
-    "TcpTransport",
-    "decode",
-    "decode_frame",
-    "encode",
-    "encode_frame",
-    "free_port",
-]
+#: Public name -> defining submodule.  Resolved on first use (PEP 562): a
+#: replica process imports :mod:`repro.net.replica` without the client,
+#: supervisor, loopback-cluster and bench stacks it never runs.
+_EXPORTS = {
+    "CodecError": "codec",
+    "ClientRequest": "messages",
+    "ClientResponse": "messages",
+    "NetClient": "client",
+    "NetConfig": "config",
+    "ReplicaServer": "replica",
+    "Supervisor": "supervisor",
+    "TcpCluster": "cluster",
+    "TcpTransport": "transport",
+    "decode": "codec",
+    "decode_frame": "codec",
+    "encode": "codec",
+    "encode_frame": "codec",
+    "free_port": "config",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -15,6 +15,11 @@ Subcommands:
 - ``bench [...] --out FILE`` — full loopback benchmark: spawn processes,
   drive clients, optionally crash/recover one replica, write the JSON
   artifact (see :mod:`repro.net.bench`).
+
+``python -m repro net ...`` lands in :func:`main` without going through
+:mod:`repro.cli`, and each handler imports what it runs when it runs: a
+``net replica`` process loads a replica, not the client, supervisor, bench
+and figure stacks (tests/test_import_budget.py holds the line).
 """
 
 from __future__ import annotations
@@ -24,19 +29,13 @@ import signal
 import sys
 import threading
 import time
-from typing import Any, Dict
+from typing import Any, Dict, List, Optional
 
 from repro.core import COS_ALGORITHMS
-from repro.net.bench import NetBenchConfig, run_net_bench
 from repro.net.codec import WIRE_NAMES
-from repro.net.client import NetClient
 from repro.net.config import SERVICES, NetConfig, loopback_config
-from repro.net.replica import ReplicaServer
-from repro.net.supervisor import Supervisor
-from repro.smr.client import ClientTimeout
-from repro.workload import WorkloadGenerator
 
-__all__ = ["add_net_parser", "run_net"]
+__all__ = ["add_net_parser", "main", "run_net"]
 
 
 def _add_cluster_options(parser: argparse.ArgumentParser) -> None:
@@ -75,10 +74,16 @@ def _add_cluster_options(parser: argparse.ArgumentParser) -> None:
                              "piggybacking cumulative acks")
 
 
+_NET_HELP = ("TCP deployment: replica/client processes, supervisor, "
+             "loopback bench (docs/deployment.md)")
+
+
 def add_net_parser(sub: argparse._SubParsersAction) -> None:
-    net = sub.add_parser(
-        "net", help="TCP deployment: replica/client processes, supervisor, "
-                    "loopback bench (docs/deployment.md)")
+    """Hang ``net`` and its subcommands under :mod:`repro.cli`'s parser."""
+    _add_subcommands(sub.add_parser("net", help=_NET_HELP))
+
+
+def _add_subcommands(net: argparse.ArgumentParser) -> None:
     net_sub = net.add_subparsers(dest="net_command", required=True)
 
     replica = net_sub.add_parser("replica", help="run one replica process")
@@ -145,6 +150,8 @@ def _wait_for_signal() -> None:
 
 
 def _cmd_replica(args: argparse.Namespace) -> int:
+    from repro.net.replica import ReplicaServer
+
     with open(args.config) as handle:
         config = NetConfig.from_json(handle.read())
     server = ReplicaServer(args.replica_id, config).start()
@@ -176,6 +183,8 @@ def _config_from_args(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 def _cmd_supervise(args: argparse.Namespace) -> int:
+    from repro.net.supervisor import Supervisor
+
     config = loopback_config(
         n_replicas=args.replicas,
         metrics=args.metrics,
@@ -204,6 +213,10 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
+    from repro.net.client import NetClient
+    from repro.smr.client import ClientTimeout
+    from repro.workload import WorkloadGenerator
+
     with open(args.config) as handle:
         config = NetConfig.from_json(handle.read())
     if config.n_groups < 2 and args.cross > 0:
@@ -242,6 +255,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.net.bench import NetBenchConfig, run_net_bench
+
     config = NetBenchConfig(
         n_replicas=args.replicas,
         n_clients=args.clients,
@@ -283,3 +298,10 @@ def run_net(args: argparse.Namespace) -> int:
         "bench": _cmd_bench,
     }
     return handlers[args.net_command](args)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro net ...`` (``argv`` starts after ``net``)."""
+    parser = argparse.ArgumentParser(prog="repro net", description=_NET_HELP)
+    _add_subcommands(parser)
+    return run_net(parser.parse_args(argv))

@@ -42,6 +42,10 @@ from repro.net.config import NetConfig
 
 __all__ = ["ProcessGroup", "Supervisor"]
 
+#: Pause between readiness probes.  A replica is up ~0.4 s after its spawn,
+#: so a coarser poll quantises every start a caller (or a test) sees.
+_READY_POLL = 0.005
+
 
 def _repro_pythonpath() -> str:
     """PYTHONPATH entry that makes ``import repro`` work in children."""
@@ -137,7 +141,7 @@ class ProcessGroup:
                 if _port_open(host, port):
                     pending.discard(replica_id)
             if pending:
-                time.sleep(0.05)
+                time.sleep(_READY_POLL)
         if pending:
             raise ConfigurationError(
                 f"replicas {sorted(pending)} not ready within {timeout}s")
@@ -191,7 +195,7 @@ class ProcessGroup:
                 return
             if self._procs[replica_id].poll() is not None:
                 break
-            time.sleep(0.05)
+            time.sleep(_READY_POLL)
         raise ConfigurationError(
             f"replica {replica_id} did not come back within {timeout}s")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
@@ -67,6 +66,10 @@ class MetricsHTTPServer:
 
     def __init__(self, registry: MetricsRegistry, host: str = "127.0.0.1",
                  port: int = 0):
+        # Imported on use: with metrics off (the default) a replica never
+        # loads http.server, which pulls in email, http.client and ssl.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         self._registry = registry
         outer = self
 

@@ -22,8 +22,8 @@ Each test fails against the pre-fix code:
   median high and ``int(n * 0.99)`` truncated to index 0 for n <= 100, so
   p99 reported the *minimum*;
 - **TcpTransport.start failure leak** (net/transport.py): a bind conflict
-  (or readiness timeout) used to leave the loop thread alive and the event
-  loop open;
+  used to leave the transport's thread alive; it now binds on the caller's
+  thread, before there is a thread to leak;
 - **_flatten_commands on str** (smr/replica.py): a string payload recursed
   forever (str iteration yields strings), dying with RecursionError
   instead of a diagnosable TypeError;
@@ -102,7 +102,7 @@ from repro.broadcast.paxos import FORWARD_HOP_LIMIT, MultiPaxos
 from repro.broadcast.transport import FaultPlan, ThreadedTransport
 from repro.core.command import Command, ReadWriteConflicts
 from repro.core.threaded import ThreadedRuntime
-from repro.errors import ConfigurationError, ShardCrashed
+from repro.errors import ConfigurationError, ShardCrashed, ShutdownError
 from repro.net.transport import TcpTransport
 from repro.par.config import MpEngineConfig
 from repro.par.dispatcher import (
@@ -440,28 +440,30 @@ def test_even_sample_median_is_interpolated():
 
 
 # --------------------------------------------------------------------------
-# TcpTransport.start: failed starts must not leak the loop thread.
+# TcpTransport.start: failed starts must not leak the transport's thread.
 # --------------------------------------------------------------------------
 
 
 def test_tcp_transport_bind_conflict_cleans_up_loop_thread():
     from repro.net.config import free_port
 
-    addresses = {0: ("127.0.0.1", free_port())}
-    first = TcpTransport(0, addresses).start()
-    second = TcpTransport(0, addresses)  # same endpoint: bind must fail
+    endpoint = ("127.0.0.1", free_port())
+    first = TcpTransport(0, {0: endpoint}).start()
+    second = TcpTransport(7, {7: endpoint})  # same endpoint: bind must fail
     try:
         with pytest.raises(ConfigurationError):
             second.start()
-        second._thread.join(timeout=5)
-        assert not second._thread.is_alive(), (
-            "bind failure leaked a live loop thread")
-        assert second._loop.is_closed(), (
-            "bind failure leaked an open event loop")
+        assert not any(thread.name == "tcp-7"
+                       for thread in threading.enumerate()), (
+            "bind failure leaked a live transport thread")
         assert second.closed
-        second.close()  # idempotent after a failed start
+        second.close()  # a no-op after a failed start
+        with pytest.raises(ShutdownError):
+            second.send(7, 7, "late")
     finally:
         first.close()
+    # Neither transport still holds the endpoint.
+    TcpTransport(7, {7: endpoint}).start().close()
 
 
 # --------------------------------------------------------------------------

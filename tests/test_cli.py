@@ -159,6 +159,7 @@ class TestFigures:
             figure.add_point("light", "lock-free", 1, 100.0)
             return figure
 
-        monkeypatch.setattr(cli, "figure2", fake_figure2)
+        # The handler imports its stack when it runs, so patch the source.
+        monkeypatch.setattr("repro.bench.figure2", fake_figure2)
         assert cli.main(["figures", "fig2"]) == 0
         assert "fig2" in capsys.readouterr().out
