@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core import make_cos
+from repro.core import make_cos, read_write_classes
 from repro.core.command import ConflictRelation, ReadWriteConflicts
 from repro.core.cos import DEFAULT_MAX_SIZE
 from repro.core.effects import Work
@@ -127,18 +127,14 @@ def run_standalone(config: StandaloneConfig,
     runtime = SimRuntime(sim, costs=config.sync_costs)
     metrics = Metrics(sim, registry=registry)
     conflicts = config.conflicts or ReadWriteConflicts()
-    classes_of = None
-    if config.algorithm == "class-based":
-        from repro.core import read_write_classes
-
-        classes_of = read_write_classes(config.class_shards)
     cos = make_cos(
         config.algorithm,
         runtime,
         conflicts,
         max_size=config.max_size,
         costs=structure_costs(),
-        classes_of=classes_of,
+        # Read by the class-based scheduler only.
+        classes_of=read_write_classes(config.class_shards),
         obs=registry,
         workers=config.workers,
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.core import COS_ALGORITHMS
 from repro.net.cli import add_net_parser, run_net
@@ -176,21 +176,26 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_obs(registry) -> None:
+def _obs_registry(args: argparse.Namespace):
+    """A registry to record the run through when ``--obs`` asks for one."""
+    if not args.obs:
+        return None
+    from repro.obs import MetricsRegistry
+
+    return MetricsRegistry()
+
+
+def _print_obs(registry, clock: str = "virtual clock") -> None:
     from repro.obs import render_text
 
-    print("--- observability snapshot (virtual clock) ---")
+    print(f"--- observability snapshot ({clock}) ---")
     print(render_text(registry), end="")
 
 
 def _cmd_standalone(args: argparse.Namespace) -> int:
     if args.engine != "sim":
         return _cmd_standalone_wallclock(args)
-    registry = None
-    if args.obs:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
+    registry = _obs_registry(args)
     from repro.bench import StandaloneConfig, run_standalone
 
     result = run_standalone(StandaloneConfig(
@@ -216,7 +221,7 @@ def _cmd_standalone(args: argparse.Namespace) -> int:
 
 def _cmd_standalone_wallclock(args: argparse.Namespace) -> int:
     """One replica on a real engine against a wall clock (--engine mp)."""
-    from repro.obs import MetricsRegistry, render_text
+    from repro.obs import MetricsRegistry
     from repro.par.bench import MpBenchConfig, run_mp_bench
 
     registry = MetricsRegistry()
@@ -242,8 +247,7 @@ def _cmd_standalone_wallclock(args: argparse.Namespace) -> int:
               f"p99 {result.dispatch_p99 * 1e6:.0f} us   shard busy: "
               + " ".join(f"{busy:.2f}" for busy in result.shard_busy))
     if args.obs:
-        print("--- observability snapshot (wall clock) ---")
-        print(render_text(registry), end="")
+        _print_obs(registry, "wall clock")
     return 0
 
 
@@ -252,11 +256,7 @@ def _cmd_smr(args: argparse.Namespace) -> int:
         return _cmd_smr_speculative(args)
     if args.engine != "sim":
         return _cmd_smr_wallclock(args)
-    registry = None
-    if args.obs:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
+    registry = _obs_registry(args)
     from repro.smr.sim_cluster import SimClusterConfig, run_sim_cluster
 
     result = run_sim_cluster(SimClusterConfig(
@@ -318,54 +318,101 @@ def _cmd_smr_speculative(args: argparse.Namespace) -> int:
 
 def _cmd_smr_wallclock(args: argparse.Namespace) -> int:
     """A real threaded cluster on a selectable engine (--engine mp)."""
-    from repro.par.bench import MpClusterConfig, run_mp_cluster
+    from repro.par.bench import (CLUSTER_KEY_SPACE, MpClusterConfig,
+                                 run_mp_cluster)
+    from repro.smr.cluster import ClusterConfig
 
-    result = run_mp_cluster(MpClusterConfig(
+    deployment = ClusterConfig(
+        # Speculation rides the sequencer's optimistic delivery.
+        protocol="sequencer" if args.speculative else "paxos",
+        speculative=args.speculative,
         engine=args.engine,
         mp_workers=args.mp_workers,
-        speculative=args.speculative,
         workers=args.workers,
         cos_algorithm=args.algorithm,
+        # Scale the list to the key space so ``contains`` walks are real
+        # CPU work — the thing the mp engine parallelizes.
+        service_kwargs={"initial_size": CLUSTER_KEY_SPACE},
+    )
+    config = MpClusterConfig(
+        deployment=deployment,
         write_pct=args.write_pct,
         key_dist=args.key_dist,
         zipf_s=args.zipf_s,
         seed=args.seed,
         ops=args.measure_ops,
         n_clients=min(args.clients, 16),
-    ))
+    )
+    stats = run_mp_cluster(config)
     print(f"engine={args.engine} algorithm={args.algorithm} "
           f"mp_workers={args.mp_workers} writes={args.write_pct}% "
-          f"clients={result.config.n_clients}")
-    print(f"throughput: {result.throughput:,.0f} cmds/s wall clock   "
-          f"batch latency: mean {result.latency_mean * 1e3:.1f} ms / "
-          f"p99 {result.latency_p99 * 1e3:.1f} ms   "
-          f"({result.executed} executed, {result.errors} timed out)")
+          f"clients={config.n_clients}")
+    print(f"throughput: {stats.throughput:,.0f} cmds/s wall clock   "
+          f"batch latency: mean {stats.latency_mean * 1e3:.1f} ms / "
+          f"p99 {stats.latency_quantile(0.99) * 1e3:.1f} ms   "
+          f"({stats.executed} executed, {stats.errors} timed out)")
     return 0
+
+
+class _Harness(NamedTuple):
+    """One protocol-level ``repro check`` harness (a seeded random walk
+    over a protocol's schedules, not over COS thread interleavings)."""
+
+    mutants: Any                         # its seeded-bug registry
+    config: Callable[..., Any]
+    run: Callable[..., Any]
+    save_replay: Callable[..., None]
+    replay: Callable[[str], Any]
+    describe: Callable[[Any], str]       # the config half of the header
+
+
+def _harnesses() -> Dict[str, _Harness]:
+    """``--algorithm`` name -> harness.  paxos-lease walks schedules of the
+    lease protocol (docs/ordering.md); groups-rendezvous walks per-replica
+    interleavings of the partitions' consensus logs and checks that the
+    merge rule yields one total order (docs/partitioning.md); spec-rollback
+    walks per-replica optimistic delivery orders and checks commit/rollback
+    against a sequential execution of the conservative order
+    (docs/speculation.md)."""
+    from repro.check import groups_rendezvous as groups
+    from repro.check import paxos_lease as lease
+    from repro.check import spec_rollback as spec
+
+    return {
+        "paxos-lease": _Harness(
+            lease.LEASE_MUTANTS, lease.LeaseCheckConfig,
+            lease.run_lease_check, lease.save_lease_replay,
+            lease.replay_lease,
+            lambda c: (f"nodes={c.n_nodes} lease={c.lease_duration}s "
+                       f"margin={c.lease_margin}s skew={c.clock_skew}")),
+        "groups-rendezvous": _Harness(
+            groups.GROUPS_MUTANTS, groups.GroupsCheckConfig,
+            groups.run_groups_check, groups.save_groups_replay,
+            groups.replay_groups,
+            lambda c: (f"groups={c.n_groups} replicas={c.n_replicas} "
+                       f"keys={c.key_space} length={c.schedule_length}")),
+        "spec-rollback": _Harness(
+            spec.SPEC_MUTANTS, spec.SpecCheckConfig,
+            spec.run_spec_check, spec.save_spec_replay, spec.replay_spec,
+            lambda c: (f"replicas={c.n_replicas} keys={c.key_space} "
+                       f"length={c.schedule_length}")),
+    }
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check import CheckConfig, run_check
-    from repro.check.groups_rendezvous import GROUPS_MUTANTS, replay_groups
-    from repro.check.paxos_lease import (
-        LEASE_MUTANTS,
-        replay_harness_kind,
-        replay_lease,
-    )
+    from repro.check.paxos_lease import replay_harness_kind
     from repro.check.replay import replay as replay_file
     from repro.check.replay import save_replay
-    from repro.check.spec_rollback import SPEC_MUTANTS, replay_spec
 
+    harnesses = _harnesses()
     if args.replay:
         try:
-            # Lease/groups/spec-harness replays carry a "harness" key; COS
-            # replays (version-1 format) have none — dispatch on it.
-            kind = replay_harness_kind(args.replay)
-            if kind == "paxos-lease":
-                violation = replay_lease(args.replay)
-            elif kind == "groups-rendezvous":
-                violation = replay_groups(args.replay)
-            elif kind == "spec-rollback":
-                violation = replay_spec(args.replay)
+            # Harness replays carry a "harness" key; COS replays
+            # (version-1 format) have none — dispatch on it.
+            harness = harnesses.get(replay_harness_kind(args.replay))
+            if harness is not None:
+                violation = harness.replay(args.replay)
             else:
                 violation = replay_file(args.replay, max_steps=args.max_steps)
         except (OSError, ValueError, KeyError) as error:
@@ -379,15 +426,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 1
 
     algorithm = args.algorithm.replace("_", "-")
-    if algorithm == "paxos-lease" or args.mutant in LEASE_MUTANTS:
-        return _cmd_check_lease(args)
-    if algorithm == "groups-rendezvous" or args.mutant in GROUPS_MUTANTS:
-        return _cmd_check_groups(args)
-    if algorithm == "spec-rollback" or args.mutant in SPEC_MUTANTS:
-        return _cmd_check_spec(args)
+    for name, harness in harnesses.items():
+        if algorithm == name or args.mutant in harness.mutants:
+            return _cmd_check_harness(args, name, harness)
 
     config = CheckConfig(
-        algorithm=args.algorithm.replace("_", "-"),
+        algorithm=algorithm,
         workers=args.workers,
         commands=args.commands,
         max_size=args.max_size,
@@ -425,118 +469,27 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_check_lease(args: argparse.Namespace) -> int:
-    """The paxos-lease harness branch of ``repro check``.
-
-    Selected by ``--algorithm paxos-lease`` or any ``--mutant`` from the
-    lease registry; explores seeded random-walk schedules over the lease
-    protocol instead of COS thread interleavings (repro.check.paxos_lease).
-    """
-    from repro.check.paxos_lease import (
-        LeaseCheckConfig,
-        run_lease_check,
-        save_lease_replay,
-    )
-
-    config = LeaseCheckConfig(mutant=args.mutant)
+def _cmd_check_harness(args: argparse.Namespace, name: str,
+                       harness: _Harness) -> int:
+    """A protocol-harness branch of ``repro check``: selected by its
+    ``--algorithm`` name or by any ``--mutant`` from its registry."""
+    config = harness.config(mutant=args.mutant)
     try:
-        report = run_lease_check(
+        report = harness.run(
             config, max_schedules=args.max_schedules, seed=args.seed)
     except ValueError as error:  # unknown mutant
         print(f"error: {error}", file=sys.stderr)
         return 2
     mutant = f" mutant={config.mutant}" if config.mutant else ""
-    print(f"check algorithm=paxos-lease{mutant} nodes={config.n_nodes} "
-          f"lease={config.lease_duration}s margin={config.lease_margin}s "
-          f"skew={config.clock_skew}")
+    print(f"check algorithm={name}{mutant} {harness.describe(config)}")
     print(report.describe())
     if report.ok:
         return 0
     if report.shrunk_decisions is not None:
         print(f"shrunk counterexample: {len(report.shrunk_decisions)} "
               f"decisions ({report.shrink_candidates} candidates tried)")
-        save_lease_replay(args.replay_out, config, report.shrunk_decisions,
-                          report.violation)
-        print(f"replay file written to {args.replay_out} "
-              f"(re-run with: python -m repro check --replay "
-              f"{args.replay_out})")
-    return 1
-
-
-def _cmd_check_groups(args: argparse.Namespace) -> int:
-    """The groups-rendezvous harness branch of ``repro check``.
-
-    Selected by ``--algorithm groups-rendezvous`` or any ``--mutant`` from
-    the groups registry; explores seeded random walks over per-replica
-    interleavings of the partitions' consensus logs and checks that the
-    rendezvous merge rule yields one deterministic total order
-    (repro.check.groups_rendezvous, docs/partitioning.md).
-    """
-    from repro.check.groups_rendezvous import (
-        GroupsCheckConfig,
-        run_groups_check,
-        save_groups_replay,
-    )
-
-    config = GroupsCheckConfig(mutant=args.mutant)
-    try:
-        report = run_groups_check(
-            config, max_schedules=args.max_schedules, seed=args.seed)
-    except ValueError as error:  # unknown mutant
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    mutant = f" mutant={config.mutant}" if config.mutant else ""
-    print(f"check algorithm=groups-rendezvous{mutant} "
-          f"groups={config.n_groups} replicas={config.n_replicas} "
-          f"keys={config.key_space} length={config.schedule_length}")
-    print(report.describe())
-    if report.ok:
-        return 0
-    if report.shrunk_decisions is not None:
-        print(f"shrunk counterexample: {len(report.shrunk_decisions)} "
-              f"decisions ({report.shrink_candidates} candidates tried)")
-        save_groups_replay(args.replay_out, config, report.shrunk_decisions,
-                           report.violation)
-        print(f"replay file written to {args.replay_out} "
-              f"(re-run with: python -m repro check --replay "
-              f"{args.replay_out})")
-    return 1
-
-
-def _cmd_check_spec(args: argparse.Namespace) -> int:
-    """The spec-rollback harness branch of ``repro check``.
-
-    Selected by ``--algorithm spec-rollback`` or any ``--mutant`` from the
-    spec registry; explores seeded random walks over per-replica
-    optimistic delivery orders and checks the commit/rollback rule
-    against a sequential reference execution of the conservative order
-    (repro.check.spec_rollback, docs/speculation.md).
-    """
-    from repro.check.spec_rollback import (
-        SpecCheckConfig,
-        run_spec_check,
-        save_spec_replay,
-    )
-
-    config = SpecCheckConfig(mutant=args.mutant)
-    try:
-        report = run_spec_check(
-            config, max_schedules=args.max_schedules, seed=args.seed)
-    except ValueError as error:  # unknown mutant
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    mutant = f" mutant={config.mutant}" if config.mutant else ""
-    print(f"check algorithm=spec-rollback{mutant} "
-          f"replicas={config.n_replicas} keys={config.key_space} "
-          f"length={config.schedule_length}")
-    print(report.describe())
-    if report.ok:
-        return 0
-    if report.shrunk_decisions is not None:
-        print(f"shrunk counterexample: {len(report.shrunk_decisions)} "
-              f"decisions ({report.shrink_candidates} candidates tried)")
-        save_spec_replay(args.replay_out, config, report.shrunk_decisions,
-                         report.violation)
+        harness.save_replay(args.replay_out, config, report.shrunk_decisions,
+                            report.violation)
         print(f"replay file written to {args.replay_out} "
               f"(re-run with: python -m repro check --replay "
               f"{args.replay_out})")

@@ -15,51 +15,40 @@ the real-deployment path end to end.
 from __future__ import annotations
 
 import json
-import statistics
-import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.core.command import Command
 from repro.net.client import NetClient
-from repro.net.config import NetConfig, loopback_config
+from repro.net.config import NetConfig
 from repro.net.supervisor import Supervisor
 from repro.obs import MetricsRegistry
-from repro.obs.stats import quantile
-from repro.smr.client import ClientTimeout
+from repro.smr.client import run_closed_loop
 from repro.workload import WorkloadGenerator
 
 __all__ = ["NetBenchConfig", "NetBenchResult", "run_net_bench"]
 
 
+#: How long a bench client waits for a batch before counting it timed out
+#: (longer than a deployment's default: a crash under load stalls a batch
+#: for a whole leader election).
+CLIENT_TIMEOUT = 3.0
+
+
 @dataclass(frozen=True)
 class NetBenchConfig:
-    """Parameters of one loopback bench run."""
+    """One loopback bench run: the deployment it spawns and its workload."""
 
-    n_replicas: int = 3
+    deployment: NetConfig
     n_clients: int = 4
     batch: int = 8
     ops: int = 400                  # total commands across all clients
     write_pct: float = 30.0
-    service: str = "linked-list"
-    cos_algorithm: str = "lock-free"
-    workers: int = 4
-    engine: str = "threaded"        # "threaded" | "mp" (repro.par)
-    mp_workers: int = 2             # shard processes per replica under mp
-    wire: str = "json"              # wire codec (docs/wire.md)
-    propose_linger: Optional[float] = None  # None -> heartbeat/10
-    cumulative_acks: bool = True
-    lease_duration: Optional[float] = None  # None -> 0.8x leader timeout
-    lease_margin: Optional[float] = None
-    lease_reads: bool = True
     seed: int = 1
-    crash_replica: Optional[int] = None   # crash-stop this replica mid-run
-    recover: bool = True                  # ...and restart it afterwards
-    client_timeout: float = 3.0
-    #: Record client-side per-command spans and write them to trace_path
-    #: (JSONL, one event per line — see docs/observability.md).
-    trace: bool = False
+    #: Crash-stop this replica mid-run, then restart it.
+    crash_replica: Optional[int] = None
+    #: Record client-side per-command spans and write them here (JSONL,
+    #: one event per line — see docs/observability.md); None records none.
     trace_path: Optional[str] = None
 
 
@@ -75,8 +64,6 @@ class NetBenchResult:
     latency_mean: float             # per-batch round trip
     latency_p50: float
     latency_p99: float
-    crash_injected: bool
-    recovered: bool
     #: One (throughput kops/s, latency ms) coordinate — the shape of one
     #: paper Fig. 6 point, measured on the real deployment.
     fig6_point: Dict[str, float] = field(default_factory=dict)
@@ -85,138 +72,84 @@ class NetBenchResult:
     trace_events: int = 0
 
     def to_json(self) -> Dict[str, Any]:
-        data = asdict(self)
-        data["config"] = asdict(self.config)
-        return data
-
-
-def _percentile(samples: List[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    return quantile(sorted(samples), fraction)
+        return asdict(self)
 
 
 def run_net_bench(config: NetBenchConfig,
                   out_path: Optional[str] = None) -> NetBenchResult:
     """Run one loopback bench; optionally write the JSON artifact."""
-    net = loopback_config(
-        n_replicas=config.n_replicas,
-        service=config.service,
-        cos_algorithm=config.cos_algorithm,
-        workers=config.workers,
-        engine=config.engine,
-        mp_workers=config.mp_workers,
-        wire=config.wire,
-        propose_linger=config.propose_linger,
-        cumulative_acks=config.cumulative_acks,
-        lease_duration=config.lease_duration,
-        lease_margin=config.lease_margin,
-        lease_reads=config.lease_reads,
-        client_timeout=config.client_timeout,
-    )
-    batches_per_client = max(
-        1, config.ops // (config.n_clients * config.batch))
-    latencies: List[float] = []
-    latency_lock = threading.Lock()
-    executed = 0
-    errors = 0
-    counters_lock = threading.Lock()
+    net = config.deployment
     # Client-side registry: latency histogram always, spans when tracing.
-    registry = MetricsRegistry(trace=config.trace)
-    latency_hist = registry.histogram("client_batch_latency_seconds")
+    trace = config.trace_path is not None
+    registry = MetricsRegistry(trace=trace)
 
-    def client_loop(index: int) -> None:
-        nonlocal executed, errors
-        workload = WorkloadGenerator(
-            config.write_pct, key_space=500,
-            seed=config.seed * 1_000 + index)
-        client = NetClient(
-            f"bench-{index}", net,
-            contact=index % config.n_replicas,
-            timeout=config.client_timeout,
-        )
-        trace = config.trace
-        try:
-            for _ in range(batches_per_client):
-                commands = workload.commands(config.batch)
-                started = time.monotonic()
-                span_keys = ()
-                if trace:
-                    # execute_batch re-stamps the commands with this
-                    # client's identity and the next request_ids, so the
-                    # wire-stable keys (client_id#request_id) are known
-                    # before the call — unlike the process-local uids.
-                    base = client.requests_issued
-                    span_keys = tuple(
-                        f"bench-{index}#{base + 1 + offset}"
-                        for offset in range(len(commands)))
-                    for key in span_keys:
-                        registry.span(key, "submitted", at=started)
-                try:
-                    client.execute_batch(commands)
-                except ClientTimeout:
-                    with counters_lock:
-                        errors += len(commands)
-                    continue
-                finished = time.monotonic()
-                elapsed = finished - started
-                if trace:
-                    for key in span_keys:
-                        registry.span(key, "responded", at=finished)
-                latency_hist.observe(elapsed)
-                with latency_lock:
-                    latencies.append(elapsed)
-                with counters_lock:
-                    executed += len(commands)
-        finally:
-            client.close()
+    def trace_batch(index, client, commands, started):
+        # execute_batch re-stamps the commands with this client's identity
+        # and the next request_ids, so the wire-stable keys
+        # (client_id#request_id) are known before the call — unlike the
+        # process-local uids.
+        base = client.requests_issued
+        span_keys = tuple(f"bench-{index}#{base + 1 + offset}"
+                          for offset in range(len(commands)))
+        for key in span_keys:
+            registry.span(key, "submitted", at=started)
 
-    crash_injected = False
-    recovered = False
+        def answered(finished: float) -> None:
+            for key in span_keys:
+                registry.span(key, "responded", at=finished)
+
+        return answered
+
     with Supervisor(net) as supervisor:
         supervisor.wait_ready()
-        threads = [
-            threading.Thread(target=client_loop, args=(index,), daemon=True)
-            for index in range(config.n_clients)
-        ]
-        started = time.monotonic()
-        for thread in threads:
-            thread.start()
-        if config.crash_replica is not None:
+
+        def crash_and_recover() -> None:
             # Let the run warm up, then crash-stop one replica under load.
             time.sleep(0.5)
             supervisor.kill(config.crash_replica)
-            crash_injected = True
-            if config.recover:
-                time.sleep(0.5)
-                supervisor.restart(config.crash_replica)
-                recovered = True
-        for thread in threads:
-            thread.join()
-        duration = time.monotonic() - started
+            time.sleep(0.5)
+            supervisor.restart(config.crash_replica)
 
-    trace_events = len(registry.spans.events())
-    if config.trace and config.trace_path:
+        clients = [
+            NetClient(f"bench-{index}", net, contact=index % net.n_replicas,
+                      timeout=CLIENT_TIMEOUT)
+            for index in range(config.n_clients)]
+        try:
+            stats = run_closed_loop(
+                clients,
+                [WorkloadGenerator(config.write_pct, key_space=500,
+                                   seed=config.seed * 1_000 + index)
+                 for index in range(config.n_clients)],
+                batches=max(
+                    1, config.ops // (config.n_clients * config.batch)),
+                batch=config.batch,
+                observe=trace_batch if trace else None,
+                meanwhile=(crash_and_recover
+                           if config.crash_replica is not None else None))
+        finally:
+            for client in clients:
+                client.close()
+
+    if trace:
         registry.spans.write_jsonl(config.trace_path)
-    throughput = executed / duration if duration > 0 else 0.0
-    latency_mean = statistics.fmean(latencies) if latencies else 0.0
+    latency_hist = registry.histogram("client_batch_latency_seconds")
+    for latency in stats.latencies:
+        latency_hist.observe(latency)
     result = NetBenchResult(
         config=config,
-        executed=executed,
-        errors=errors,
-        duration=duration,
-        throughput=throughput,
-        latency_mean=latency_mean,
-        latency_p50=_percentile(latencies, 0.50),
-        latency_p99=_percentile(latencies, 0.99),
-        crash_injected=crash_injected,
-        recovered=recovered,
+        executed=stats.executed,
+        errors=stats.errors,
+        duration=stats.duration,
+        throughput=stats.throughput,
+        latency_mean=stats.latency_mean,
+        latency_p50=stats.latency_quantile(0.50),
+        latency_p99=stats.latency_quantile(0.99),
         fig6_point={
-            "throughput_kops": throughput / 1e3,
-            "latency_ms": latency_mean * 1e3,
+            "throughput_kops": stats.throughput / 1e3,
+            "latency_ms": stats.latency_mean * 1e3,
         },
         latency_histogram=latency_hist.snapshot(),
-        trace_events=trace_events,
+        trace_events=len(registry.spans.events()),
     )
     if out_path is not None:
         with open(out_path, "w") as handle:

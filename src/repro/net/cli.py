@@ -29,49 +29,38 @@ import signal
 import sys
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-from repro.core import COS_ALGORITHMS
-from repro.net.codec import WIRE_NAMES
-from repro.net.config import SERVICES, NetConfig, loopback_config
+from repro.errors import ConfigurationError
+from repro.net.config import NetConfig, loopback_config
+from repro.smr.deployment import add_flags, flag_values
 
 __all__ = ["add_net_parser", "main", "run_net"]
 
 
-def _add_cluster_options(parser: argparse.ArgumentParser) -> None:
+def _add_deployment_options(parser: argparse.ArgumentParser) -> None:
+    """``--replicas`` plus one generated flag per :class:`NetConfig` field
+    that declares one (repro.smr.deployment)."""
     parser.add_argument("--replicas", type=int, default=3)
-    parser.add_argument("--service", default="linked-list", choices=SERVICES)
-    parser.add_argument("--protocol", default="paxos",
-                        choices=("paxos", "sequencer"))
-    parser.add_argument("--algorithm", "--scheduler", default="lock-free",
-                        choices=COS_ALGORITHMS)
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--engine", default="threaded",
-                        choices=("threaded", "mp"),
-                        help="execution engine: worker threads, or shard "
-                             "worker processes (docs/parallel_execution.md)")
-    parser.add_argument("--mp-workers", type=int, default=2,
-                        help="shard processes per replica with --engine mp")
-    parser.add_argument("--wire", default="json", choices=WIRE_NAMES,
-                        help="wire codec on every TCP connection "
-                             "(docs/wire.md)")
-    parser.add_argument("--propose-linger", type=float, default=None,
-                        help="Nagle-style proposer linger in seconds; "
-                             "default is a tenth of the heartbeat interval "
-                             "(docs/ordering.md)")
-    parser.add_argument("--lease-duration", type=float, default=None,
-                        help="leader-lease window in seconds; default is "
-                             "0.8x the leader timeout, 0 disables leases "
-                             "(docs/ordering.md)")
-    parser.add_argument("--lease-margin", type=float, default=None,
-                        help="clock-skew safety margin subtracted from "
-                             "each lease grant (docs/ordering.md)")
-    parser.add_argument("--no-lease-reads", action="store_true",
-                        help="order read-only batches instead of serving "
-                             "them locally at the leaseholder")
-    parser.add_argument("--no-cumulative-acks", action="store_true",
-                        help="broadcast a Decide per instance instead of "
-                             "piggybacking cumulative acks")
+    add_flags(parser, NetConfig)
+
+
+def _loopback_from_args(args: argparse.Namespace,
+                        metrics: bool = False) -> NetConfig:
+    return loopback_config(n_replicas=args.replicas, metrics=metrics,
+                           **flag_values(args, NetConfig))
+
+
+def _load_config(path: str) -> Optional[NetConfig]:
+    """The deployment file at ``path``; None (after one line on stderr) if
+    it cannot be read as one — it is outside input."""
+    try:
+        with open(path) as handle:
+            return NetConfig.from_json(handle.read())
+    except (OSError, ConfigurationError) as error:
+        print(f"error: cannot load deployment config {path}: {error}",
+              file=sys.stderr)
+        return None
 
 
 _NET_HELP = ("TCP deployment: replica/client processes, supervisor, "
@@ -93,10 +82,7 @@ def _add_subcommands(net: argparse.ArgumentParser) -> None:
 
     supervise = net_sub.add_parser(
         "supervise", help="spawn a local process-per-replica cluster")
-    _add_cluster_options(supervise)
-    supervise.add_argument("--groups", type=int, default=1,
-                           help="consensus groups (state partitions) per "
-                                "replica (docs/partitioning.md)")
+    _add_deployment_options(supervise)
     supervise.add_argument("--config-out", default="repro-net-cluster.json",
                            help="where to write the deployment JSON")
     supervise.add_argument("--metrics", action="store_true",
@@ -120,7 +106,7 @@ def _add_subcommands(net: argparse.ArgumentParser) -> None:
 
     bench = net_sub.add_parser(
         "bench", help="loopback throughput/latency benchmark -> JSON")
-    _add_cluster_options(bench)
+    _add_deployment_options(bench)
     bench.add_argument("--clients", type=int, default=4)
     bench.add_argument("--ops", type=int, default=400)
     bench.add_argument("--batch", type=int, default=8)
@@ -152,8 +138,9 @@ def _wait_for_signal() -> None:
 def _cmd_replica(args: argparse.Namespace) -> int:
     from repro.net.replica import ReplicaServer
 
-    with open(args.config) as handle:
-        config = NetConfig.from_json(handle.read())
+    config = _load_config(args.config)
+    if config is None:
+        return 2
     server = ReplicaServer(args.replica_id, config).start()
     host, port = config.addresses[args.replica_id]
     print(f"replica {args.replica_id} listening on {host}:{port}", flush=True)
@@ -164,50 +151,24 @@ def _cmd_replica(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config_from_args(args: argparse.Namespace) -> Dict[str, Any]:
-    """The ``_add_cluster_options`` flags as config fields — the names
-    :class:`NetConfig` and :class:`NetBenchConfig` share."""
-    return dict(
-        service=args.service,
-        cos_algorithm=args.algorithm,
-        workers=args.workers,
-        engine=args.engine,
-        mp_workers=args.mp_workers,
-        wire=args.wire,
-        propose_linger=args.propose_linger,
-        cumulative_acks=not args.no_cumulative_acks,
-        lease_duration=args.lease_duration,
-        lease_margin=args.lease_margin,
-        lease_reads=not args.no_lease_reads,
-    )
-
-
 def _cmd_supervise(args: argparse.Namespace) -> int:
     from repro.net.supervisor import Supervisor
 
-    config = loopback_config(
-        n_replicas=args.replicas,
-        metrics=args.metrics,
-        protocol=args.protocol,
-        n_groups=args.groups,
-        **_config_from_args(args),
-    )
+    config = _loopback_from_args(args, metrics=args.metrics)
     with open(args.config_out, "w") as handle:
         handle.write(config.to_json())
     with Supervisor(config) as supervisor:
         supervisor.wait_ready()
-        hosting = (f", each hosting {args.groups} consensus groups"
-                   if args.groups > 1 else "")
+        hosting = (f", each hosting {config.n_groups} consensus groups"
+                   if config.n_groups > 1 else "")
         print(f"{args.replicas} replica processes up{hosting}; deployment "
               f"config at {args.config_out}", flush=True)
-        if config.metrics_addresses:
-            for replica_id, (host, port) in enumerate(
-                    config.metrics_addresses):
-                print(f"replica {replica_id} metrics at "
-                      f"http://{host}:{port}/metrics", flush=True)
+        for replica_id, (host, port) in enumerate(config.metrics_addresses):
+            print(f"replica {replica_id} metrics at "
+                  f"http://{host}:{port}/metrics", flush=True)
         print("run a workload with: python -m repro net client "
               f"--config {args.config_out}"
-              + (" --cross 0.1" if args.groups > 1 else ""), flush=True)
+              + (" --cross 0.1" if config.n_groups > 1 else ""), flush=True)
         _wait_for_signal()
     return 0
 
@@ -217,8 +178,9 @@ def _cmd_client(args: argparse.Namespace) -> int:
     from repro.smr.client import ClientTimeout
     from repro.workload import WorkloadGenerator
 
-    with open(args.config) as handle:
-        config = NetConfig.from_json(handle.read())
+    config = _load_config(args.config)
+    if config is None:
+        return 2
     if config.n_groups < 2 and args.cross > 0:
         print(f"config {args.config} has n_groups={config.n_groups}; "
               f"--cross needs a partitioned deployment", file=sys.stderr)
@@ -258,20 +220,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.net.bench import NetBenchConfig, run_net_bench
 
     config = NetBenchConfig(
-        n_replicas=args.replicas,
+        deployment=_loopback_from_args(args),
         n_clients=args.clients,
         batch=args.batch,
         ops=args.ops,
         write_pct=args.write_pct,
         seed=args.seed,
         crash_replica=args.replicas - 1 if args.crash else None,
-        trace=args.trace,
         trace_path=args.trace_out if args.trace else None,
-        **_config_from_args(args),
     )
     result = run_net_bench(config, out_path=args.out)
     print(f"replicas={args.replicas} clients={args.clients} "
-          f"algorithm={args.algorithm} service={args.service}")
+          f"algorithm={args.cos_algorithm} service={args.service}")
     print(f"throughput: {result.throughput:.0f} cmds/s over "
           f"{result.duration:.2f}s ({result.executed} executed, "
           f"{result.errors} timed out)")
@@ -280,10 +240,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
           f"p99 {result.latency_p99 * 1e3:.1f} ms")
     print(f"fig6 point: {result.fig6_point['throughput_kops']:.2f} kops/s "
           f"at {result.fig6_point['latency_ms']:.1f} ms")
-    if result.crash_injected:
-        print(f"crash injected: replica {config.crash_replica} "
-              f"({'recovered' if result.recovered else 'not recovered'})")
-    if config.trace:
+    if config.crash_replica is not None:
+        print(f"crash injected: replica {config.crash_replica} (recovered)")
+    if config.trace_path is not None:
         print(f"{result.trace_events} span events written to "
               f"{config.trace_path}")
     print(f"artifact written to {args.out}")

@@ -23,11 +23,12 @@ import itertools
 import time
 from typing import Any, List, Optional
 
-from repro.errors import ConfigurationError, ShutdownError
+from repro.errors import ShutdownError
 from repro.net.client import NetClient
 from repro.net.config import NetConfig, loopback_config
 from repro.net.replica import ReplicaServer
 from repro.smr.service import Service
+from repro.smr.stack import recovery_peer
 
 __all__ = ["TcpCluster"]
 
@@ -37,7 +38,6 @@ class TcpCluster:
 
     def __init__(self, config: Optional[NetConfig] = None, **overrides):
         self.config = config or loopback_config(**overrides)
-        self.config.validate()
         self.servers: List[ReplicaServer] = [
             ReplicaServer(replica_id, self.config)
             for replica_id in range(self.config.n_replicas)
@@ -100,15 +100,9 @@ class TcpCluster:
         replica started blank converges too: its peers send the checkpoint
         in-band once it asks below their log floor.)
         """
-        if self.servers[replica_id].running:
-            raise ConfigurationError(
-                f"replica {replica_id} is still running; crash it first")
-        if from_peer is None:
-            candidates = [index for index, server in enumerate(self.servers)
-                          if index != replica_id and server.running]
-            if not candidates:
-                raise ShutdownError("no live peer to recover from")
-            from_peer = candidates[0]
+        from_peer = recovery_peer(
+            [server.running for server in self.servers], replica_id,
+            from_peer)
         checkpoint = self.servers[from_peer].replica.take_checkpoint()
         server = ReplicaServer(replica_id, self.config, checkpoint=checkpoint)
         self.servers[replica_id] = server

@@ -28,25 +28,22 @@ Run one as a process with ``python -m repro net replica`` (see
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Any, Dict, List, Optional
 
-# build_service re-exported for compatibility: the registry moved to
-# repro.apps so the par shard workers can share it.
-from repro.apps import build_service
 from repro.broadcast import ThreadedNode
 from repro.core.command import Command
 from repro.errors import ConfigurationError, ShutdownError
 from repro.net.config import NetConfig
 from repro.net.messages import ClientRequest, ClientResponse, GroupEnvelope
 from repro.net.transport import GroupChannel, TcpTransport
-from repro.obs import MetricsHTTPServer, MetricsRegistry, SnapshotWriter
+from repro.obs import MetricsHTTPServer, MetricsRegistry
 from repro.smr.checkpoint import Checkpoint
 from repro.smr.service import Service
-from repro.smr.stack import build_execution, build_nodes, route
+from repro.smr.stack import (build_execution, build_nodes,
+                             install_checkpoint, route)
 
-__all__ = ["ReplicaServer", "build_service"]
+__all__ = ["ReplicaServer"]
 
 
 class ReplicaServer:
@@ -60,17 +57,12 @@ class ReplicaServer:
                 f"replica_id {replica_id} out of range for "
                 f"{config.n_replicas} replicas")
         grouped = config.n_groups > 1
-        if grouped and checkpoint is not None:
-            raise ConfigurationError(
-                "checkpoint restart is single-group only: a checkpoint "
-                "names one instance frontier, not one per group")
         self.replica_id = replica_id
         self.config = config
         # One registry per replica process records the whole stack — COS,
         # replica engine, and transport (docs/observability.md).
         self.registry = MetricsRegistry(trace=config.trace)
         self._metrics_server: Optional[MetricsHTTPServer] = None
-        self._snapshot_writer: Optional[SnapshotWriter] = None
         self.replica = build_execution(
             config, replica_id, on_response=self._respond,
             registry=self.registry)
@@ -78,10 +70,7 @@ class ReplicaServer:
         #: The MpService under ``engine="mp"`` (it needs lifecycle calls
         #: the Service interface doesn't have).
         self._engine = self.service if config.engine == "mp" else None
-        if checkpoint is not None:
-            self.replica.install_checkpoint(checkpoint)
-        first_instance = (0 if checkpoint is None
-                          else checkpoint.instance + 1)
+        first_instance = install_checkpoint(config, self.replica, checkpoint)
         self.transport = TcpTransport(
             replica_id,
             config.address_map(),
@@ -102,7 +91,6 @@ class ReplicaServer:
             config, replica_id, self.replica,
             self._channels or [self.transport], name="net-node",
             first_instance=first_instance, registry=self.registry,
-            record_history=config.record_merge_history,
             on_install=self._reanswer)
         #: Routes client batches to groups; None at one group.
         self.partition_map = self.merge.partition_map if grouped else None
@@ -132,13 +120,6 @@ class ReplicaServer:
             host, port = self.config.metrics_addresses[self.replica_id]
             self._metrics_server = MetricsHTTPServer(
                 self.registry, host=host, port=port).start()
-        if self.config.metrics_snapshot_dir:
-            path = os.path.join(
-                self.config.metrics_snapshot_dir,
-                f"replica-{self.replica_id}-metrics.json")
-            self._snapshot_writer = SnapshotWriter(
-                self.registry, path,
-                interval=self.config.metrics_snapshot_interval).start()
         self.replica.start()
         for node in self.nodes:
             node.start()
@@ -152,9 +133,6 @@ class ReplicaServer:
         self.replica.stop(timeout=2.0)
         if self._engine is not None:
             self._engine.stop()
-        if self._snapshot_writer is not None:
-            self._snapshot_writer.stop()
-            self._snapshot_writer = None
         if self._metrics_server is not None:
             self._metrics_server.stop()
             self._metrics_server = None

@@ -24,20 +24,22 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.apps import build_service
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
-from repro.par.config import MpEngineConfig
 from repro.par.engine import MpService
+from repro.smr.deployment import ENGINES
 from repro.smr.replica import ParallelReplica
 from repro.workload import WorkloadGenerator
 
-__all__ = ["MpBenchConfig", "MpBenchResult", "run_mp_bench",
-           "MpClusterConfig", "MpClusterResult", "run_mp_cluster"]
+if TYPE_CHECKING:  # run_mp_cluster imports the cluster stack when it runs
+    from repro.smr.client import ClosedLoopStats
+    from repro.smr.cluster import ClusterConfig
 
-MP_BENCH_ENGINES = ("threaded", "mp")
+__all__ = ["MpBenchConfig", "MpBenchResult", "run_mp_bench",
+           "MpClusterConfig", "run_mp_cluster"]
 
 
 @dataclass(frozen=True)
@@ -62,12 +64,11 @@ class MpBenchConfig:
     dispatch_batch: Optional[int] = None
     seed: int = 1
     timeout: float = 120.0
-    start_method: Optional[str] = None
 
     def validate(self) -> None:
-        if self.engine not in MP_BENCH_ENGINES:
+        if self.engine not in ENGINES:
             raise ConfigurationError(
-                f"engine must be one of {MP_BENCH_ENGINES}, got "
+                f"engine must be one of {ENGINES}, got "
                 f"{self.engine!r}")
         if self.mp_workers < 1 or self.workers < 1:
             raise ConfigurationError("worker counts must be >= 1")
@@ -104,7 +105,6 @@ class MpBenchResult:
 
     def to_json(self) -> Dict[str, Any]:
         data = asdict(self)
-        data["config"] = asdict(self.config)
         data["kops"] = self.kops
         return data
 
@@ -130,7 +130,6 @@ def run_mp_bench(config: MpBenchConfig,
             config.service,
             config.service_factory_kwargs(),
             workers=config.mp_workers,
-            config=MpEngineConfig(start_method=config.start_method),
             registry=registry,
         )
         service = engine
@@ -205,154 +204,47 @@ def run_mp_bench(config: MpBenchConfig,
     )
 
 
+#: Key space of a closed-loop cluster run's workload.
+CLUSTER_KEY_SPACE = 500
+_CLUSTER_BATCH = 8                    # commands per client request
+_CLUSTER_CLIENT_TIMEOUT = 5.0
+
+
 @dataclass(frozen=True)
 class MpClusterConfig:
-    """Closed-loop threaded-cluster run with a selectable engine.
+    """Closed-loop run of an in-process cluster: its deployment + workload.
 
     The SMR counterpart of :class:`MpBenchConfig`: a full in-process
     cluster (consensus + replicas + clients) where each replica executes on
-    either engine — ``python -m repro smr --engine mp`` ends here.
+    the deployment's engine — ``python -m repro smr --engine mp`` ends here.
     """
 
-    engine: str = "mp"                 # "mp" | "threaded"
-    mp_workers: int = 2
-    workers: int = 4
-    n_replicas: int = 3
+    deployment: ClusterConfig
     n_clients: int = 4
-    batch: int = 8
     ops: int = 800                     # total commands across all clients
     write_pct: float = 0.0
     key_dist: str = "uniform"
     zipf_s: float = 0.99
-    key_space: int = 500
-    service: str = "linked-list"
-    service_kwargs: Dict[str, Any] = field(default_factory=dict)
-    cos_algorithm: str = "lock-free"
     seed: int = 1
-    client_timeout: float = 5.0
-    #: Optimistic execution over the sequencer fast path (repro.spec,
-    #: docs/speculation.md); threaded engine only.
-    speculative: bool = False
-
-    def validate(self) -> None:
-        if self.engine not in MP_BENCH_ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {MP_BENCH_ENGINES}, got "
-                f"{self.engine!r}")
-        if self.speculative and self.engine != "threaded":
-            raise ConfigurationError(
-                "speculative execution requires --engine threaded")
-
-    def service_factory_kwargs(self) -> Dict[str, Any]:
-        kwargs = dict(self.service_kwargs)
-        if self.service == "linked-list":
-            kwargs.setdefault("initial_size", self.key_space)
-        return kwargs
 
 
-@dataclass(frozen=True)
-class MpClusterResult:
-    """Measured outcome of one closed-loop cluster run (wall clock)."""
-
-    config: MpClusterConfig
-    executed: int
-    errors: int
-    duration: float
-    throughput: float
-    latency_mean: float               # per-batch round trip
-    latency_p50: float
-    latency_p99: float
-
-    @property
-    def kops(self) -> float:
-        return self.throughput / 1e3
-
-    def to_json(self) -> Dict[str, Any]:
-        data = asdict(self)
-        data["config"] = asdict(self.config)
-        data["kops"] = self.kops
-        return data
-
-
-def run_mp_cluster(config: MpClusterConfig) -> MpClusterResult:
+def run_mp_cluster(config: MpClusterConfig) -> ClosedLoopStats:
     """Drive a ThreadedCluster with closed-loop clients on either engine."""
-    config.validate()
     # Imported here: the cluster pulls in broadcast machinery the plain
     # engine benchmark does not need.
-    from repro.smr.client import ClientTimeout
-    from repro.smr.cluster import ClusterConfig, ThreadedCluster
+    from repro.smr.client import run_closed_loop
+    from repro.smr.cluster import ThreadedCluster
 
-    cluster_config = ClusterConfig(
-        n_replicas=config.n_replicas,
-        protocol="sequencer" if config.speculative else "paxos",
-        speculative=config.speculative,
-        cos_algorithm=config.cos_algorithm,
-        workers=config.workers,
-        engine=config.engine,
-        mp_workers=config.mp_workers,
-        service=config.service,
-        service_kwargs=config.service_factory_kwargs(),
-        client_timeout=config.client_timeout,
-    )
-    batches_per_client = max(
-        1, config.ops // (config.n_clients * config.batch))
-    latencies: List[float] = []
-    lock = threading.Lock()
-    executed = 0
-    errors = 0
-
-    def client_loop(cluster: "ThreadedCluster", index: int) -> None:
-        nonlocal executed, errors
-        workload = WorkloadGenerator(
-            config.write_pct,
-            key_space=config.key_space,
-            seed=config.seed * 1_000 + index,
-            key_dist=config.key_dist,
-            zipf_s=config.zipf_s,
-        )
-        client = cluster.client(contact=index % config.n_replicas)
-        for _ in range(batches_per_client):
-            commands = workload.commands(config.batch)
-            begun = time.monotonic()
-            try:
-                client.execute_batch(commands)
-            except ClientTimeout:
-                with lock:
-                    errors += len(commands)
-                continue
-            elapsed = time.monotonic() - begun
-            with lock:
-                latencies.append(elapsed)
-                executed += len(commands)
-
-    with ThreadedCluster(cluster_config) as cluster:
-        threads = [
-            threading.Thread(target=client_loop, args=(cluster, index),
-                             daemon=True)
-            for index in range(config.n_clients)
-        ]
-        begun = time.monotonic()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        duration = max(time.monotonic() - begun, 1e-9)
-
-    ordered = sorted(latencies)
-
-    def percentile(fraction: float) -> float:
-        if not ordered:
-            return 0.0
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index]
-
-    return MpClusterResult(
-        config=config,
-        executed=executed,
-        errors=errors,
-        duration=duration,
-        throughput=executed / duration,
-        latency_mean=sum(ordered) / len(ordered) if ordered else 0.0,
-        latency_p50=percentile(0.50),
-        latency_p99=percentile(0.99),
-    )
+    indices = range(config.n_clients)
+    with ThreadedCluster(config.deployment) as cluster:
+        return run_closed_loop(
+            [cluster.client(contact=index % config.deployment.n_replicas,
+                            timeout=_CLUSTER_CLIENT_TIMEOUT)
+             for index in indices],
+            [WorkloadGenerator(
+                config.write_pct, key_space=CLUSTER_KEY_SPACE,
+                seed=config.seed * 1_000 + index,
+                key_dist=config.key_dist, zipf_s=config.zipf_s)
+             for index in indices],
+            batches=max(1, config.ops // (config.n_clients * _CLUSTER_BATCH)),
+            batch=_CLUSTER_BATCH)

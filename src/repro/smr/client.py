@@ -8,20 +8,26 @@ contact; replica-side deduplication makes retransmission safe.
 
 ``execute_batch`` sends several commands in one broadcast payload — the
 client-side batching interface the paper added to BFT-SMaRt (§7.1).
+
+:func:`run_closed_loop` drives several such clients at once, one thread
+each, and measures them — the paper's §7.1 client model, shared by the
+wall-clock benches of both live runtimes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import queue
+import statistics
 import threading
 import time
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.command import Command
 from repro.errors import ShutdownError
+from repro.obs.stats import quantile
 
-__all__ = ["Client", "ClientTimeout"]
+__all__ = ["Client", "ClientTimeout", "ClosedLoopStats", "run_closed_loop"]
 
 # submit(payload, contact_replica) — provided by the cluster.
 SubmitFn = Callable[[Tuple[Command, ...], int], None]
@@ -127,3 +133,70 @@ class Client:
     def requests_issued(self) -> int:
         """Request ids consumed so far."""
         return self._next_request_id - 1
+
+
+@dataclasses.dataclass(frozen=True)
+class ClosedLoopStats:
+    """What :func:`run_closed_loop` measured (seconds are wall clock)."""
+
+    executed: int                     # commands answered
+    errors: int                       # commands of batches that timed out
+    duration: float
+    latencies: Tuple[float, ...]      # per answered batch, ascending
+
+    @property
+    def throughput(self) -> float:
+        return self.executed / self.duration if self.duration > 0 else 0.0
+
+    @property
+    def latency_mean(self) -> float:
+        return statistics.fmean(self.latencies) if self.latencies else 0.0
+
+    def latency_quantile(self, fraction: float) -> float:
+        return quantile(self.latencies, fraction)
+
+
+def run_closed_loop(clients: Sequence[Any], workloads: Sequence[Any],
+                    batches: int, batch: int,
+                    observe: Optional[Callable[..., Callable]] = None,
+                    meanwhile: Optional[Callable[[], None]] = None,
+                    ) -> ClosedLoopStats:
+    """Run ``clients[i]`` over ``workloads[i]`` on one thread each:
+    ``batches`` requests of ``batch`` commands, the next sent when the
+    previous is answered or has timed out.  ``observe(index, client,
+    commands, started)`` runs before a batch is sent and what it returns is
+    called with the finish time once the batch is answered; ``meanwhile``
+    runs on the calling thread while the clients work (fault injection)."""
+    per_client: List[List[float]] = [[] for _ in clients]
+
+    def client_loop(index: int) -> None:
+        client, workload = clients[index], workloads[index]
+        for _ in range(batches):
+            commands = workload.commands(batch)
+            started = time.monotonic()
+            answered = (observe(index, client, commands, started)
+                        if observe is not None else None)
+            try:
+                client.execute_batch(commands)
+            except ClientTimeout:
+                continue
+            finished = time.monotonic()
+            if answered is not None:
+                answered(finished)
+            per_client[index].append(finished - started)
+
+    threads = [threading.Thread(target=client_loop, args=(index,),
+                                daemon=True)
+               for index in range(len(clients))]
+    started = time.monotonic()
+    for thread in threads:
+        thread.start()
+    if meanwhile is not None:
+        meanwhile()
+    for thread in threads:
+        thread.join()
+    duration = time.monotonic() - started
+    latencies = sorted(latency for own in per_client for latency in own)
+    timed_out = batches * len(clients) - len(latencies)
+    return ClosedLoopStats(len(latencies) * batch, timed_out * batch,
+                           duration, tuple(latencies))

@@ -18,129 +18,55 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.broadcast import FaultPlan, ThreadedNode, ThreadedTransport
 from repro.broadcast.storage import InMemoryStableStore
 from repro.core.command import Command
-from repro.core.cos import DEFAULT_MAX_SIZE
 from repro.errors import ConfigurationError, ShutdownError
 from repro.groups.stage import MergeStage
 from repro.smr.client import Client
+from repro.smr.deployment import DeploymentSpec
 from repro.smr.replica import ParallelReplica
 from repro.smr.service import Service
-from repro.smr.stack import build_execution, build_nodes, route
+from repro.smr.stack import (build_execution, build_nodes,
+                             install_checkpoint, recovery_peer, route)
 
 __all__ = ["ClusterConfig", "ThreadedCluster"]
 
 ServiceFactory = Callable[[], Service]
 
 
-@dataclass
-class ClusterConfig:
-    """Parameters of a threaded cluster deployment."""
+@dataclass(frozen=True, kw_only=True)
+class ClusterConfig(DeploymentSpec):
+    """A :class:`DeploymentSpec` run in one process, plus its test hooks."""
 
-    service_factory: Optional[ServiceFactory] = None
     n_replicas: int = 3
-    #: Consensus groups (state partitions) per replica.  1 is the classic
-    #: single-order deployment; > 1 orders each partition in its own group
-    #: and merges the streams per replica (docs/partitioning.md).
-    n_groups: int = 1
-    #: Record merged positions + per-class release order on every replica
-    #: (differential suites; grows with the run).  Only with n_groups > 1.
-    record_history: bool = False
-    protocol: str = "paxos"            # "paxos" | "sequencer"
-    cos_algorithm: str = "lock-free"   # any of COS_ALGORITHMS, or "sequential"
-    workers: int = 4
-    #: Execution engine per replica: "threaded" (worker threads call the
-    #: service directly) or "mp" (repro.par shard worker processes).
-    engine: str = "threaded"
-    #: Shard worker processes per replica when ``engine == "mp"``.
-    mp_workers: int = 2
-    #: Registered service name (repro.apps.SERVICES) + factory kwargs.
-    #: Required for the mp engine — worker processes rebuild the service
-    #: from this spec, live instances don't cross process boundaries.
-    #: For the threaded engine it is an alternative to ``service_factory``.
-    service: Optional[str] = None
-    service_kwargs: Dict[str, Any] = field(default_factory=dict)
-    max_graph_size: int = DEFAULT_MAX_SIZE
-    batch_size: int = 64
-    heartbeat_interval: float = 0.05
-    leader_timeout: float = 0.25
-    #: Nagle-style proposer linger (paxos only).  ``None`` picks a tenth of
-    #: the heartbeat interval; 0 proposes immediately.
-    propose_linger: Optional[float] = None
-    #: One cumulative ack per batch window instead of Decide broadcasts.
-    cumulative_acks: bool = True
-    #: Leader-lease window (paxos only).  ``None`` picks 0.8x the leader
-    #: timeout; 0 disables leases (and with them local lease reads).
-    lease_duration: Optional[float] = None
-    lease_margin: Optional[float] = None
-    #: Serve all-read batches at the leaseholder without a consensus round.
-    lease_reads: bool = True
-    client_timeout: float = 2.0
-    #: Optimistic (speculative) execution over the sequencer fast path:
-    #: replicas execute on optimistic delivery and withhold responses
-    #: until the conservative order confirms (repro.spec,
-    #: docs/speculation.md).  Requires ``protocol="sequencer"`` and the
-    #: threaded engine.
-    speculative: bool = False
+    #: Builds each replica's service instead of ``service`` /
+    #: ``service_kwargs`` (threaded engine only: a live instance cannot
+    #: cross into the mp engine's shard processes).
+    service_factory: Optional[ServiceFactory] = None
     #: Persist acceptor state per node so crashed replicas can rejoin
     #: safely (see repro.broadcast.storage).
     stable_storage: bool = False
-    fault_plan: FaultPlan = field(default_factory=lambda: FaultPlan(
-        min_delay=0.0, max_delay=0.0))
-    #: Per-group override: ``fault_plans[g]`` shapes group ``g``'s ordering
-    #: traffic (shorter tuples are padded with their last entry); empty
-    #: means ``fault_plan`` everywhere.
+    #: ``fault_plans[g]`` shapes group ``g``'s ordering traffic (shorter
+    #: tuples are padded with their last entry); empty is a perfect network.
     fault_plans: Tuple[FaultPlan, ...] = ()
 
     def plan_for(self, group: int) -> FaultPlan:
         if not self.fault_plans:
-            return self.fault_plan
+            return FaultPlan(min_delay=0.0, max_delay=0.0)
         return self.fault_plans[min(group, len(self.fault_plans) - 1)]
 
     def validate(self) -> None:
-        if self.protocol not in ("paxos", "sequencer"):
-            raise ConfigurationError(f"unknown protocol {self.protocol!r}")
-        if self.protocol == "paxos" and self.n_replicas % 2 == 0:
+        super().validate()
+        if self.engine == "mp" and self.service_factory is not None:
             raise ConfigurationError(
-                f"paxos needs an odd replica count, got {self.n_replicas}"
-            )
-        if self.n_replicas < 1:
-            raise ConfigurationError("need at least one replica")
-        if self.n_groups < 1:
-            raise ConfigurationError(
-                f"n_groups must be >= 1, got {self.n_groups}")
-        if self.engine not in ("threaded", "mp"):
-            raise ConfigurationError(f"unknown engine {self.engine!r}")
-        if self.engine == "mp":
-            if self.service is None:
-                raise ConfigurationError(
-                    "engine='mp' requires a service name (service=...): "
-                    "shard worker processes rebuild the service from its "
-                    "spec, a live service_factory instance cannot cross "
-                    "process boundaries")
-            if self.mp_workers < 1:
-                raise ConfigurationError(
-                    f"mp_workers must be >= 1, got {self.mp_workers}")
-        if self.service_factory is None and self.service is None:
-            raise ConfigurationError(
-                "need a service_factory or a service name")
-        if self.speculative:
-            if self.protocol != "sequencer":
-                raise ConfigurationError(
-                    "speculative execution rides the sequencer's optimistic "
-                    "delivery; use protocol='sequencer'")
-            if self.engine != "threaded":
-                raise ConfigurationError(
-                    "speculative execution requires the threaded engine "
-                    "(undo capture is not plumbed through shard processes)")
-            if self.n_groups > 1:
-                raise ConfigurationError(
-                    "speculative execution is single-group only (the merge "
-                    "stage has no optimistic stream)")
+                "engine='mp' builds the service from its service name: shard "
+                "worker processes rebuild it from (service, service_kwargs), "
+                "a live service_factory instance cannot cross process "
+                "boundaries")
 
 
 class ThreadedCluster:
@@ -184,23 +110,22 @@ class ThreadedCluster:
         config = self.config
         replica = build_execution(
             config, replica_id, on_response=self._route_response,
-            service_factory=config.service_factory,
-            service_kwargs=config.service_kwargs,
-            speculative=config.speculative)
+            service_factory=config.service_factory)
         stores = None
         if config.stable_storage:
             stores = [
                 InMemoryStableStore(
                     self._stores.setdefault((group, replica_id), {}))
                 for group in range(config.n_groups)]
-        first_instance = 0
+        # Refuses a grouped restart before the transport is touched.
+        first_instance = install_checkpoint(config, replica, checkpoint)
         if checkpoint is not None:
-            replica.install_checkpoint(checkpoint)
-            first_instance = checkpoint.instance + 1
+            # A rebuilt replica: drop what its predecessor left queued.
+            self.transports[0].reset_inbox(replica_id)
+            self.transports[0].recover(replica_id)
         nodes, self.merges[replica_id] = build_nodes(
             config, replica_id, replica, self.transports,
-            first_instance=first_instance, stable_stores=stores,
-            record_history=config.record_history)
+            first_instance=first_instance, stable_stores=stores)
         self.replicas[replica_id] = replica
         for group, node in enumerate(nodes):
             self.group_nodes[group][replica_id] = node
@@ -313,24 +238,9 @@ class ThreadedCluster:
         ``config.stable_storage`` the rebuilt protocol node also recovers
         its acceptor promises, so rejoining cannot violate agreement.
         """
-        if self.config.n_groups > 1:
-            raise ConfigurationError(
-                "restart_replica is single-group only: a checkpoint names "
-                "one instance frontier, not one per group")
-        if self.nodes[replica_id].running:
-            raise ConfigurationError(
-                f"replica {replica_id} is still running; crash it first")
-        if from_peer is None:
-            candidates = [
-                index for index, node in enumerate(self.nodes)
-                if index != replica_id and node.running
-            ]
-            if not candidates:
-                raise ShutdownError("no live peer to recover from")
-            from_peer = candidates[0]
+        from_peer = recovery_peer(
+            [node.running for node in self.nodes], replica_id, from_peer)
         checkpoint = self.replicas[from_peer].take_checkpoint()
-        self.transports[0].reset_inbox(replica_id)
-        self.transports[0].recover(replica_id)
         self._build_stack(replica_id, checkpoint)
         if self.config.engine == "mp":
             # Starting the fresh engine installs the checkpoint state

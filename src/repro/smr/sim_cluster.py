@@ -18,20 +18,13 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, List, Optional
 
-from repro.broadcast.messages import (
-    Deliver,
-    DeliverOptimistic,
-    DeliverRead,
-    Send,
-    SetTimer,
-)
 from repro.broadcast.paxos import MultiPaxos
-from repro.core import make_cos
-from repro.core.command import Command
+from repro.core import make_cos, read_write_classes
+from repro.core.command import Command, ReadWriteConflicts
 from repro.core.cos import DEFAULT_MAX_SIZE
-from repro.core.effects import Down, Up, Work
+from repro.core.effects import Down, Work
 from repro.core.runtime import EffectGen
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
@@ -44,6 +37,7 @@ from repro.sim import (
     SyncCosts,
     structure_costs,
 )
+from repro.sim.protocol import SimProtocolNode
 from repro.workload import WorkloadGenerator
 
 __all__ = ["SimClusterConfig", "SimClusterResult", "run_sim_cluster"]
@@ -98,65 +92,6 @@ class SimClusterResult:
         return self.latency_mean * 1e3
 
 
-class _SimProtocolNode:
-    """Drives one protocol state machine on the virtual clock."""
-
-    def __init__(
-        self,
-        node_id: int,
-        protocol: MultiPaxos,
-        sim: Simulator,
-        rng: random.Random,
-        net_min: float,
-        net_max: float,
-        on_deliver: Callable[[Any], None],
-    ):
-        self.node_id = node_id
-        self.protocol = protocol
-        self._sim = sim
-        self._rng = rng
-        self._net_min = net_min
-        self._net_max = net_max
-        self._on_deliver = on_deliver
-        self.peers: List["_SimProtocolNode"] = []
-
-    def start(self) -> None:
-        self._perform(self.protocol.start())
-
-    def submit(self, payload: Any) -> None:
-        self._perform(self.protocol.submit(payload))
-
-    def on_message(self, src: int, msg: Any) -> None:
-        self._perform(self.protocol.on_message(src, msg))
-
-    def _perform(self, actions: List[Any]) -> None:
-        for action in actions:
-            kind = type(action)
-            if kind is Send:
-                delay = self._rng.uniform(self._net_min, self._net_max)
-                peer = self.peers[action.dst]
-                self._sim.schedule(
-                    delay, lambda p=peer, m=action.msg: p.on_message(self.node_id, m)
-                )
-            elif kind is Deliver:
-                self._on_deliver(action.payload)
-            elif kind is DeliverRead:
-                # The sim drives only the ordered path today; a lease read
-                # is simply a local delivery without an instance number.
-                self._on_deliver(action.payload)
-            elif kind is DeliverOptimistic:
-                # Advisory; this cluster executes conservatively only
-                # (repro.spec.sim models the speculative pipeline).
-                pass
-            elif kind is SetTimer:
-                self._sim.schedule(
-                    action.delay,
-                    lambda n=action.name: self._perform(self.protocol.on_timer(n)),
-                )
-            else:  # pragma: no cover - defensive
-                raise ConfigurationError(f"unknown action {action!r}")
-
-
 def run_sim_cluster(config: SimClusterConfig,
                     registry: Optional[MetricsRegistry] = None,
                     ) -> SimClusterResult:
@@ -179,11 +114,7 @@ def run_sim_cluster(config: SimClusterConfig,
     runtime = SimRuntime(sim, costs=config.sync_costs)
     metrics = Metrics(sim, registry=registry)
     rng = random.Random(config.seed * 6151 + 7)
-    profile = config.profile
     total_target = config.warm_ops + config.measure_ops
-
-    from repro.core.command import ReadWriteConflicts
-
     conflicts = ReadWriteConflicts()
 
     # ------------------------------------------------- response bookkeeping
@@ -203,7 +134,7 @@ def run_sim_cluster(config: SimClusterConfig,
             client_sems[index].up()
 
     # ------------------------------------------------------------- replicas
-    nodes: List[_SimProtocolNode] = []
+    nodes: List[SimProtocolNode] = []
     for replica_id in range(config.n_replicas):
         executes = replica_id < config.execute_replicas
         if executes:
@@ -222,12 +153,13 @@ def run_sim_cluster(config: SimClusterConfig,
             leader_timeout=0.2 * (1 + 0.35 * replica_id),
             clock=lambda: sim.now,  # leases measured in simulated time
         )
-        nodes.append(
-            _SimProtocolNode(
-                replica_id, protocol, sim, rng,
-                config.net_min, config.net_max, on_deliver,
-            )
-        )
+        # Optimistic deliveries are dropped: this cluster executes
+        # conservatively only (repro.spec.sim models the speculative
+        # pipeline).
+        nodes.append(SimProtocolNode(
+            replica_id, protocol, sim,
+            lambda msg: rng.uniform(config.net_min, config.net_max),
+            on_deliver))
     for node in nodes:
         node.peers = nodes
         node.start()
@@ -296,18 +228,14 @@ def _build_executor(
     """Create one replica's execution engine; returns its deliver callback."""
     sim = runtime.simulator
     profile = config.profile
-    classes_of = None
-    if config.algorithm == "class-based":
-        from repro.core import read_write_classes
-
-        classes_of = read_write_classes(config.class_shards)
     cos = make_cos(
         config.algorithm,
         runtime,
         conflicts,
         max_size=config.max_graph_size,
         costs=structure_costs(),
-        classes_of=classes_of,
+        # Read by the class-based scheduler only.
+        classes_of=read_write_classes(config.class_shards),
         obs=registry,
         workers=config.workers,
     )

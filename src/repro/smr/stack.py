@@ -23,9 +23,8 @@ serves a peer further behind a snapshot (docs/ordering.md).  Behind a
 merge stage a checkpoint would have to name one frontier per group, and
 the sequencer keeps no log; both run as before.
 
-``cfg`` is a :class:`~repro.smr.cluster.ClusterConfig` or a
-:class:`~repro.net.config.NetConfig`; the builders read only the fields
-the two share.
+``cfg`` is the runtime's :class:`~repro.smr.deployment.DeploymentSpec`;
+the builders read nothing a runtime's subclass adds.
 """
 
 from __future__ import annotations
@@ -35,16 +34,18 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.broadcast import MultiPaxos, SequencerBroadcast, ThreadedNode
 from repro.broadcast import paxos
 from repro.core.command import Command
+from repro.errors import ConfigurationError, ShutdownError
 from repro.groups.messages import Rendezvous, rendezvous_xid
 from repro.groups.partition import PartitionMap
 from repro.groups.stage import MergeStage
 from repro.obs.registry import MetricsRegistry
 from repro.smr.checkpoint import Checkpoint
+from repro.smr.deployment import DeploymentSpec
 from repro.smr.replica import ParallelReplica, ResponseCallback
 from repro.smr.service import Service
 
 __all__ = ["DEFAULT_DEDUP_WINDOW", "build_execution", "build_nodes",
-           "build_protocol", "route"]
+           "build_protocol", "install_checkpoint", "recovery_peer", "route"]
 
 #: Per-client dedup window of a replica behind a merge stage: one client's
 #: requests may surface out of request-id order across groups (see
@@ -53,7 +54,8 @@ __all__ = ["DEFAULT_DEDUP_WINDOW", "build_execution", "build_nodes",
 DEFAULT_DEDUP_WINDOW = 1024
 
 
-def build_protocol(cfg: Any, replica_id: int, *, first_instance: int = 0,
+def build_protocol(cfg: DeploymentSpec, replica_id: int, *,
+                   first_instance: int = 0,
                    stable_store: Any = None,
                    registry: Optional[MetricsRegistry] = None,
                    optimistic: bool = False, compact: bool = False) -> Any:
@@ -83,30 +85,30 @@ def build_protocol(cfg: Any, replica_id: int, *, first_instance: int = 0,
         propose_linger=linger,
         cumulative_acks=cfg.cumulative_acks,
         lease_duration=cfg.lease_duration,
-        lease_margin=cfg.lease_margin,
         lease_reads=cfg.lease_reads,
         registry=registry,
         log_retain=paxos.LOG_RETAIN if compact else None,
     )
 
 
-def build_execution(cfg: Any, replica_id: int, *,
+def build_execution(cfg: DeploymentSpec, replica_id: int, *,
                     on_response: Optional[ResponseCallback],
                     registry: Optional[MetricsRegistry] = None,
                     service_factory: Optional[Callable[[], Service]] = None,
-                    service_kwargs: Optional[Dict[str, Any]] = None,
-                    speculative: bool = False) -> ParallelReplica:
+                    ) -> ParallelReplica:
     """The execution stage: a replica over a threaded or mp service.
 
     With ``cfg.engine == "mp"`` the replica's ``service`` is an
     :class:`~repro.par.MpService` the caller must ``start()`` before and
     ``stop()`` after the replica (the Service interface has no lifecycle).
+    ``service_factory`` (in-process runtime only) replaces the registered
+    ``cfg.service`` under the threaded engine.
     """
     if cfg.engine == "mp":
         # Lazy: only mp deployments pull in the multiprocessing plumbing.
         from repro.par import MpService
 
-        service: Service = MpService(cfg.service, service_kwargs,
+        service: Service = MpService(cfg.service, cfg.service_kwargs,
                                      workers=cfg.mp_workers,
                                      registry=registry)
     elif service_factory is not None:
@@ -114,9 +116,9 @@ def build_execution(cfg: Any, replica_id: int, *,
     else:
         from repro.apps import build_service
 
-        service = build_service(cfg.service, **(service_kwargs or {}))
+        service = build_service(cfg.service, **cfg.service_kwargs)
     replica_cls = ParallelReplica
-    if speculative:
+    if cfg.speculative:
         # Lazy: repro.spec imports repro.smr right back.
         from repro.spec.replica import SpeculativeReplica
 
@@ -126,19 +128,47 @@ def build_execution(cfg: Any, replica_id: int, *,
         service,
         cos_algorithm=cfg.cos_algorithm,
         workers=cfg.workers,
-        max_graph_size=cfg.max_graph_size,
         on_response=on_response,
         registry=registry,
         dedup_window=DEFAULT_DEDUP_WINDOW if cfg.n_groups > 1 else 0,
     )
 
 
-def build_nodes(cfg: Any, replica_id: int, replica: ParallelReplica,
+def install_checkpoint(cfg: DeploymentSpec, replica: ParallelReplica,
+                       checkpoint: Optional[Checkpoint]) -> int:
+    """Start a freshly built ``replica`` from a peer's ``checkpoint``
+    (``None``: from scratch); returns the instance its ordering node joins
+    at."""
+    if checkpoint is None:
+        return 0
+    if cfg.n_groups > 1:
+        raise ConfigurationError(
+            "checkpoint restart is single-group only: a checkpoint names "
+            "one instance frontier, not one per group")
+    replica.install_checkpoint(checkpoint)
+    return checkpoint.instance + 1
+
+
+def recovery_peer(running: Sequence[bool], replica_id: int,
+                  from_peer: Optional[int] = None) -> int:
+    """Whose checkpoint a crashed ``replica_id`` restarts from: ``from_peer``
+    if given, else the first replica still running."""
+    if running[replica_id]:
+        raise ConfigurationError(
+            f"replica {replica_id} is still running; crash it first")
+    if from_peer is not None:
+        return from_peer
+    for peer, live in enumerate(running):
+        if live and peer != replica_id:
+            return peer
+    raise ShutdownError("no live peer to recover from")
+
+
+def build_nodes(cfg: DeploymentSpec, replica_id: int, replica: ParallelReplica,
                 transports: Sequence[Any], *, name: str = "node",
                 first_instance: int = 0,
                 stable_stores: Optional[Sequence[Any]] = None,
                 registry: Optional[MetricsRegistry] = None,
-                record_history: bool = False,
                 on_install: Optional[Callable[[], None]] = None,
                 ) -> Tuple[List[ThreadedNode], Optional[MergeStage]]:
     """One ordering node per group (``transports[g]`` carries group ``g``),
@@ -150,7 +180,8 @@ def build_nodes(cfg: Any, replica_id: int, replica: ParallelReplica,
     merge = None
     if cfg.n_groups > 1:
         merge = MergeStage(replica, cfg.n_groups,
-                           record_history=record_history, registry=registry)
+                           record_history=cfg.record_history,
+                           registry=registry)
     on_optimistic = getattr(replica, "on_optimistic", None)
     take_snapshot = install_snapshot = None
     if merge is None and cfg.protocol == "paxos":

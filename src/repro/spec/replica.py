@@ -45,17 +45,10 @@ import time
 from typing import Any, Dict, Hashable, List, Optional
 
 from repro.core.command import Command
-from repro.core.cos import DEFAULT_MAX_SIZE
 from repro.errors import SpeculationError
 from repro.groups.merge import command_key
-from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import span_key
-from repro.smr.replica import (
-    ParallelReplica,
-    ResponseCallback,
-    STOP_OP,
-    _flatten_commands,
-)
+from repro.smr.replica import STOP_OP, ParallelReplica, _flatten_commands
 from repro.smr.service import Service
 from repro.spec.engine import SpeculationEngine
 from repro.spec.undo import UndoProvider
@@ -66,31 +59,13 @@ __all__ = ["SpeculativeReplica"]
 class SpeculativeReplica(ParallelReplica):
     """Parallel replica that executes on optimistic delivery."""
 
-    def __init__(
-        self,
-        replica_id: int,
-        service: Service,
-        cos_algorithm: str = "lock-free",
-        workers: int = 4,
-        max_graph_size: int = DEFAULT_MAX_SIZE,
-        on_response: Optional[ResponseCallback] = None,
-        registry: Optional[MetricsRegistry] = None,
-        dispatch_batch: Optional[int] = None,
-        dedup_window: int = 0,
-        undo: Optional[UndoProvider] = None,
-        drain_timeout: float = 5.0,
-    ):
-        super().__init__(
-            replica_id,
-            service,
-            cos_algorithm=cos_algorithm,
-            workers=workers,
-            max_graph_size=max_graph_size,
-            on_response=on_response,
-            registry=registry,
-            dispatch_batch=dispatch_batch,
-            dedup_window=dedup_window,
-        )
+    def __init__(self, replica_id: int, service: Service, *args: Any,
+                 undo: Optional[UndoProvider] = None,
+                 drain_timeout: float = 5.0, **kwargs: Any):
+        """Takes :class:`ParallelReplica`'s arguments, plus the undo-record
+        provider and how long a confirmation waits for in-flight
+        speculative executions."""
+        super().__init__(replica_id, service, *args, **kwargs)
         self._engine = SpeculationEngine(service, undo)
         self._spec_lock = threading.Lock()
         self._spec_executed = threading.Condition(self._spec_lock)

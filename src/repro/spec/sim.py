@@ -47,19 +47,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.apps import build_service
-from repro.broadcast.messages import (
-    Deliver,
-    DeliverOptimistic,
-    DeliverRead,
-    Send,
-    SequencerStamp,
-    SetTimer,
-)
+from repro.broadcast.messages import SequencerStamp
 from repro.broadcast.sequencer import SequencerBroadcast
 from repro.core.command import Command
 from repro.errors import ConfigurationError, SimulationError
 from repro.groups.merge import command_key
 from repro.sim import Simulator
+from repro.sim.protocol import SimProtocolNode
 from repro.smr.replica import _flatten_commands
 from repro.spec.engine import SpeculationEngine
 
@@ -123,6 +117,7 @@ class SpecSimResult:
     executions: int                     # service executions (measure replica)
     snapshots: Tuple[Any, ...]          # per-replica final service state
     conservative_order: Tuple[Command, ...]
+    events: int                         # simulator events processed
 
     @property
     def throughput(self) -> float:
@@ -144,14 +139,18 @@ class _SpecSimNode:
                  on_release: Callable[[int, Command, float], None]):
         self.node_id = node_id
         self.config = config
-        self.protocol = SequencerBroadcast(
-            node_id, config.n_replicas, optimistic=config.speculative)
+        self.net = SimProtocolNode(
+            node_id,
+            SequencerBroadcast(
+                node_id, config.n_replicas, optimistic=config.speculative),
+            sim, self._link_delay,
+            on_deliver=self._on_conservative,
+            on_optimistic=self._on_optimistic)
         self.service = build_service(config.service, **config.service_kwargs)
         self.engine = SpeculationEngine(self.service)
         self._sim = sim
         self._rng = rng
         self._on_release = on_release
-        self.peers: List["_SpecSimNode"] = []
         #: Execution lane busy-until cursor (one sequential executor).
         self._lane_free = 0.0
         #: Commands whose speculative execution has been scheduled but has
@@ -165,40 +164,12 @@ class _SpecSimNode:
         self.conservative_order: List[Command] = []
         self.executions = 0
 
-    # ------------------------------------------------------------- protocol
-
-    def submit(self, payload: Any) -> None:
-        self._perform(self.protocol.submit(payload))
-
-    def on_message(self, src: int, msg: Any) -> None:
-        self._perform(self.protocol.on_message(src, msg))
-
-    def _perform(self, actions: List[Any]) -> None:
-        for action in actions:
-            kind = type(action)
-            if kind is Send:
-                delay = self._rng.uniform(
-                    self.config.net_min, self.config.net_max)
-                if isinstance(action.msg, SequencerStamp):
-                    # The consensus round the optimistic path front-runs.
-                    delay += self.config.ordering_delay
-                peer = self.peers[action.dst]
-                self._sim.schedule(
-                    delay,
-                    lambda p=peer, m=action.msg: p.on_message(self.node_id, m))
-            elif kind is Deliver:
-                self._on_conservative(action.payload)
-            elif kind is DeliverOptimistic:
-                self._on_optimistic(action.payload)
-            elif kind is DeliverRead:
-                self._on_conservative(action.payload)
-            elif kind is SetTimer:
-                self._sim.schedule(
-                    action.delay,
-                    lambda n=action.name: self._perform(
-                        self.protocol.on_timer(n)))
-            else:  # pragma: no cover - defensive
-                raise ConfigurationError(f"unknown action {action!r}")
+    def _link_delay(self, msg: Any) -> float:
+        delay = self._rng.uniform(self.config.net_min, self.config.net_max)
+        if isinstance(msg, SequencerStamp):
+            # The consensus round the optimistic path front-runs.
+            delay += self.config.ordering_delay
+        return delay
 
     # ----------------------------------------------------------- optimistic
 
@@ -328,10 +299,10 @@ def run_spec_sim(config: SpecSimConfig) -> SpecSimResult:
         for node_id in range(config.n_replicas)
     ]
     for node in nodes:
-        node.peers = nodes
+        node.net.peers = [peer.net for peer in nodes]
 
     # --------------------------------------------------------------- clients
-    sequencer = nodes[0]
+    sequencer = nodes[0].net
     per_client = config.total_commands // config.n_clients
     remainder = config.total_commands % config.n_clients
     client_next: Dict[str, Callable[[], None]] = {}
@@ -395,4 +366,5 @@ def run_spec_sim(config: SpecSimConfig) -> SpecSimResult:
         executions=measured.executions,
         snapshots=tuple(node.service.snapshot() for node in nodes),
         conservative_order=tuple(nodes[0].conservative_order),
+        events=sim.events_processed,
     )

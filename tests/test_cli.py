@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.cli import main
+from repro.net.config import NetConfig
 
 
 class TestStandalone:
@@ -82,9 +85,36 @@ class TestMpEngine:
         assert args.mp_workers == 3
 
 
+class _Spawned(Exception):
+    """Raised by the fake ``Supervisor`` in place of spawning processes;
+    carries the config it was handed."""
+
+
+def _flag_cases():
+    """(field, spelling, argv tail, value the config must then hold) for
+    every flag the deployment's fields declare — a non-default value."""
+    for f in fields(NetConfig):
+        meta = f.metadata
+        if "flag" not in meta:
+            continue
+        if isinstance(f.default, bool):
+            value, tail = not f.default, []
+        elif meta["choices"]:
+            value = [c for c in meta["choices"] if c != f.default][-1]
+            tail = [value]
+        elif f.default is None:
+            value, tail = 0.125, ["0.125"]
+        else:
+            value, tail = f.default + 1, [str(f.default + 1)]
+        for spelling in meta["flag"]:
+            yield pytest.param(f.name, [spelling, *tail], value,
+                               id=spelling.lstrip("-"))
+
+
 class TestNetCli:
-    """``net supervise --groups`` / ``net client --cross``: the partitioned
-    deployment is a flag on the ordinary subcommands."""
+    """The deployment flags of ``net supervise`` / ``net bench`` are
+    generated from the spec's fields; the partitioned deployment is a flag
+    on the ordinary subcommands (``--groups`` / ``net client --cross``)."""
 
     @staticmethod
     def _parse(*argv):
@@ -92,36 +122,64 @@ class TestNetCli:
 
         return _build_parser().parse_args(["net", *argv])
 
-    def test_supervise_groups_flag_reaches_the_config(self):
-        from repro.net.cli import _config_from_args
-        from repro.net.config import loopback_config
+    @pytest.fixture
+    def handed_to_supervisor(self, monkeypatch, tmp_path):
+        """Run a ``net`` subcommand up to ``Supervisor(config)`` and
+        return that config; nothing is spawned."""
+        class FakeSupervisor:
+            def __init__(self, config, **kwargs):
+                raise _Spawned(config)
 
-        assert self._parse("supervise").groups == 1
-        args = self._parse("supervise", "--groups", "2", "--service",
-                           "linked-list-keyed", "--engine", "mp",
-                           "--no-lease-reads", "--wire", "binary")
-        assert args.groups == 2
-        assert args.config_out == "repro-net-cluster.json"
-        config = loopback_config(n_replicas=args.replicas,
-                                 n_groups=args.groups,
-                                 **_config_from_args(args))
+        monkeypatch.setattr("repro.net.supervisor.Supervisor",
+                            FakeSupervisor)
+        monkeypatch.setattr("repro.net.bench.Supervisor", FakeSupervisor)
+        monkeypatch.chdir(tmp_path)     # supervise writes its config here
+
+        def run(*argv):
+            with pytest.raises(_Spawned) as caught:
+                main(["net", *argv])
+            return caught.value.args[0]
+
+        return run
+
+    @pytest.mark.parametrize("subcommand", ("supervise", "bench"))
+    @pytest.mark.parametrize("name,argv,value", _flag_cases())
+    def test_every_deployment_flag_reaches_the_replicas(
+            self, handed_to_supervisor, subcommand, name, argv, value):
+        defaults = handed_to_supervisor(subcommand)
+        assert getattr(defaults, name) != value
+        config = handed_to_supervisor(subcommand, *argv)
+        assert isinstance(config, NetConfig)
+        assert getattr(config, name) == value
+        assert replace(config, **{name: getattr(defaults, name)},
+                       addresses=defaults.addresses) == defaults
+
+    def test_supervise_groups_flag_reaches_the_config(
+            self, handed_to_supervisor, tmp_path):
+        assert self._parse("supervise").n_groups == 1
+        assert self._parse("supervise").config_out == (
+            "repro-net-cluster.json")
+        config = handed_to_supervisor(
+            "supervise", "--groups", "2", "--service", "linked-list-keyed",
+            "--engine", "mp", "--no-lease-reads", "--wire", "binary",
+            "--replicas", "5", "--metrics")
         assert (config.n_groups, config.engine, config.wire) == (
             2, "mp", "binary")
         assert config.lease_reads is False
         assert config.service == "linked-list-keyed"
+        assert config.n_replicas == len(config.metrics_addresses) == 5
+        # The file clients join through describes the same deployment.
+        written = (tmp_path / "repro-net-cluster.json").read_text()
+        assert NetConfig.from_json(written) == config
 
-    def test_bench_shares_the_cluster_options(self):
-        from repro.net.bench import NetBenchConfig
-        from repro.net.cli import _config_from_args
-
-        args = self._parse("bench", "--workers", "7", "--propose-linger",
-                           "0.002", "--no-cumulative-acks")
-        config = NetBenchConfig(**_config_from_args(args))
+    def test_bench_shares_the_cluster_options(self, handed_to_supervisor):
+        config = handed_to_supervisor(
+            "bench", "--workers", "7", "--propose-linger", "0.002",
+            "--no-cumulative-acks", "--groups", "2", "--replicas", "1")
         assert config.workers == 7
         assert config.propose_linger == 0.002
         assert config.cumulative_acks is False
-        with pytest.raises(SystemExit):     # --groups is supervise-only
-            self._parse("bench", "--groups", "2")
+        assert (config.n_groups, config.n_replicas) == (2, 1)
 
     def test_client_cross_flags(self):
         args = self._parse("client", "--config", "c.json")

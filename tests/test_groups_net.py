@@ -37,7 +37,7 @@ def _grouped_config(**overrides):
         n_groups=2,
         service="linked-list-keyed",
         lease_reads=False,
-        record_merge_history=True,
+        record_history=True,
         client_timeout=5.0,
     )
     base.update(overrides)

@@ -27,7 +27,8 @@ FORBIDDEN = (
     "asyncio", "ssl", "http", "email", "concurrent.futures",
     "multiprocessing", "repro.cli", "repro.bench", "repro.sim",
     "repro.check", "repro.spec", "repro.par", "repro.net.bench",
-    "repro.net.supervisor", "repro.net.cluster",
+    "repro.net.supervisor", "repro.net.cluster", "repro.smr.cluster",
+    "repro.smr.client",
 )
 
 #: ``len(sys.modules)`` of a started replica (CPython 3.11: 170 measured;

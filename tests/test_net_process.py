@@ -98,8 +98,8 @@ def test_blank_restarted_process_is_brought_back_by_snapshot():
 
 def test_net_bench_writes_artifact(tmp_path):
     out = tmp_path / "net-bench.json"
-    config = NetBenchConfig(n_replicas=3, n_clients=2, batch=4, ops=48,
-                            client_timeout=3.0, seed=7)
+    config = NetBenchConfig(deployment=loopback_config(n_replicas=3),
+                            n_clients=2, batch=4, ops=48, seed=7)
     result = run_net_bench(config, out_path=str(out))
     assert result.executed == 48
     assert result.errors == 0
@@ -108,4 +108,4 @@ def test_net_bench_writes_artifact(tmp_path):
     data = json.loads(out.read_text())
     assert data["executed"] == 48
     assert data["throughput"] > 0
-    assert data["crash_injected"] is False
+    assert data["config"]["crash_replica"] is None

@@ -27,6 +27,7 @@ from repro.obs import (
 )
 from repro.sim import PROFILES, Metrics, Simulator
 from repro.smr.sim_cluster import SimClusterConfig, run_sim_cluster
+from repro.spec.sim import SpecSimConfig, run_spec_sim
 
 MODERATE = PROFILES["moderate"]
 
@@ -274,6 +275,47 @@ def test_fig2_series_bit_identical_with_obs_disabled(algorithm, workers):
     golden = FIG2_GOLDEN[(algorithm, workers)]
     assert (result.throughput, result.executed,
             result.virtual_time, result.events) == golden
+
+
+# The two DES runtimes above the standalone one share a protocol driver
+# (repro.sim.protocol); these tuples — (throughput, latency mean, latency
+# p99, events) — were recorded before it was extracted and pin its RNG
+# draw order.
+SIM_CLUSTER_GOLDEN = {
+    ("lock-free", 3): (58863.49364515108, 0.001594628816900729,
+                       0.0019084066951427891, 3072),
+    ("coarse-grained", 11): (57606.32143290243, 0.0016996444326533022,
+                             0.0019389661862561375, 3072),
+}
+
+#: (speculative, seed, mismatch_rate) -> the same tuple.
+SPEC_SIM_GOLDEN = {
+    (True, 5, 0.2): (184.38076305887967, 0.021131241735993407,
+                     0.04884781819194134, 6692),
+    (False, 9, 0.0): (331.5081380638686, 0.011725549981482125,
+                      0.012163031821409723, 1204),
+}
+
+
+@pytest.mark.parametrize("algorithm,seed", sorted(SIM_CLUSTER_GOLDEN))
+def test_sim_cluster_bit_identical(algorithm, seed):
+    result = run_sim_cluster(SimClusterConfig(
+        algorithm=algorithm, workers=4, profile=MODERATE, write_pct=10.0,
+        n_clients=20, client_batch=5, seed=seed, warm_ops=50,
+        measure_ops=300, max_virtual_time=20.0))
+    assert (result.throughput, result.latency_mean, result.latency_p99,
+            result.events) == SIM_CLUSTER_GOLDEN[(algorithm, seed)]
+
+
+@pytest.mark.parametrize("speculative,seed,mismatch_rate",
+                         sorted(SPEC_SIM_GOLDEN))
+def test_spec_sim_bit_identical(speculative, seed, mismatch_rate):
+    result = run_spec_sim(SpecSimConfig(
+        speculative=speculative, n_clients=4, total_commands=200,
+        write_pct=70.0, mismatch_rate=mismatch_rate, seed=seed))
+    assert (result.throughput, statistics.fmean(result.latencies),
+            result.latency_quantile(0.99), result.events) == (
+        SPEC_SIM_GOLDEN[(speculative, seed, mismatch_rate)])
 
 
 @pytest.mark.parametrize("algorithm", ["coarse-grained", "fine-grained",

@@ -18,6 +18,7 @@ import pytest
 
 from repro.net.bench import NetBenchConfig, run_net_bench
 from repro.net.cluster import TcpCluster
+from repro.net.config import loopback_config
 from repro.obs import SnapshotWriter, MetricsRegistry
 from repro.workload import WorkloadGenerator
 
@@ -133,9 +134,9 @@ class TestBenchTrace:
         trace_path = tmp_path / "trace.jsonl"
         artifact_path = tmp_path / "bench.json"
         config = NetBenchConfig(
-            n_replicas=1, n_clients=1, batch=4, ops=16,
-            cos_algorithm="lock-free", workers=2,
-            trace=True, trace_path=str(trace_path),
+            deployment=loopback_config(
+                n_replicas=1, cos_algorithm="lock-free", workers=2),
+            n_clients=1, batch=4, ops=16, trace_path=str(trace_path),
         )
         result = run_net_bench(config, out_path=str(artifact_path))
 

@@ -223,7 +223,8 @@ class TestClusterIntegration:
 
     def test_mp_requires_service_spec(self):
         with pytest.raises(ConfigurationError, match="service name"):
-            ClusterConfig(engine="mp").validate()
+            ClusterConfig(engine="mp",
+                          service_factory=KVStoreService).validate()
 
 
 class TestBenchBackend:

@@ -98,8 +98,8 @@ class TestChaos:
             heartbeat_interval=0.03,
             leader_timeout=0.15,
             client_timeout=1.0,
-            fault_plan=FaultPlan(seed=11, min_delay=0.0, max_delay=0.002,
-                                 loss=0.03, duplication=0.05),
+            fault_plans=(FaultPlan(seed=11, min_delay=0.0, max_delay=0.002,
+                                   loss=0.03, duplication=0.05),),
         )
         with ThreadedCluster(config) as cluster:
             errors = []
@@ -142,7 +142,7 @@ class TestChaos:
             workers=2,
             heartbeat_interval=0.03,
             leader_timeout=0.12,
-            fault_plan=plan,
+            fault_plans=(plan,),
         )
         with ThreadedCluster(config) as cluster:
             client = cluster.client()

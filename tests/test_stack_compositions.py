@@ -10,7 +10,9 @@ the others *and* with a sequential reference execution of the stream.
 Two cells were impossible before the grouped fork was folded in — the
 grouped copy never plumbed them and ``NetConfig.validate`` rejected them:
 ``n_groups=2`` x ``engine="mp"`` and ``n_groups=2`` x
-``cos_algorithm="sequential"``.
+``cos_algorithm="sequential"``.  Two more opened when both runtimes'
+configs became one ``DeploymentSpec``: speculation and ``service_kwargs``
+over TCP.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import time
 import pytest
 
 from repro.apps import build_service
+from repro.errors import ConfigurationError
 from repro.net.cluster import TcpCluster
 from repro.net.config import loopback_config
 from repro.smr.cluster import ClusterConfig, ThreadedCluster
@@ -39,9 +42,9 @@ def _commands(n_groups: int):
     ).commands(N_COMMANDS)
 
 
-def _reference(commands):
+def _reference(commands, **service_kwargs):
     """(responses, final snapshot) of executing the stream sequentially."""
-    service = build_service(SERVICE)
+    service = build_service(SERVICE, **service_kwargs)
     return ([service.execute(command) for command in commands],
             service.snapshot())
 
@@ -56,20 +59,21 @@ def _tcp(**options):
         n_replicas=3, service=SERVICE, client_timeout=5.0, **options))
 
 
-@pytest.mark.parametrize("runtime", (_threaded, _tcp),
-                         ids=("threaded-cluster", "tcp-cluster"))
-@pytest.mark.parametrize("cos_algorithm", ("lock-free", "sequential"))
-@pytest.mark.parametrize("engine", ("threaded", "mp"))
-@pytest.mark.parametrize("n_groups", (1, 2))
-def test_composition_matches_sequential_reference(
-        n_groups, engine, cos_algorithm, runtime):
+RUNTIMES = pytest.mark.parametrize(
+    "runtime", (_threaded, _tcp), ids=("threaded-cluster", "tcp-cluster"))
+
+
+def _assert_matches_reference(runtime, n_groups=1, **options):
+    """Drive the seeded stream through ``runtime(**options)``; every
+    replica must end in the sequential reference's state (and, in one
+    total order, the client must have seen its responses)."""
     commands = _commands(n_groups)
     if n_groups > 1:
         assert any(len(c.args) > 1 for c in commands), (
             "seeded workload produced no cross-partition commands")
-    expected_responses, reference = _reference(commands)
-    with runtime(n_groups=n_groups, engine=engine,
-                 cos_algorithm=cos_algorithm) as cluster:
+    expected_responses, reference = _reference(
+        commands, **options.get("service_kwargs", {}))
+    with runtime(n_groups=n_groups, **options) as cluster:
         client = cluster.client()
         responses = []
         for start in range(0, N_COMMANDS, BATCH):
@@ -93,3 +97,43 @@ def test_composition_matches_sequential_reference(
     for replica_id, snapshot in enumerate(snapshots):
         assert snapshot == reference, (
             f"replica {replica_id} diverges from the sequential reference")
+
+
+@RUNTIMES
+@pytest.mark.parametrize("cos_algorithm", ("lock-free", "sequential"))
+@pytest.mark.parametrize("engine", ("threaded", "mp"))
+@pytest.mark.parametrize("n_groups", (1, 2))
+def test_composition_matches_sequential_reference(
+        n_groups, engine, cos_algorithm, runtime):
+    _assert_matches_reference(runtime, n_groups=n_groups, engine=engine,
+                              cos_algorithm=cos_algorithm)
+
+
+@RUNTIMES
+def test_speculation_over_the_sequencer_matches_reference(runtime):
+    """Optimistic execution is a field of the shared spec, so the TCP
+    runtime speculates too (``OptimisticAnnounce`` crosses the wire)."""
+    _assert_matches_reference(runtime, speculative=True,
+                              protocol="sequencer")
+
+
+@pytest.mark.parametrize("engine", ("threaded", "mp"))
+def test_service_kwargs_reach_tcp_replicas(engine):
+    """Both engines build the service from (service, service_kwargs): a
+    replica that ignored them would start from the default 50 entries."""
+    _assert_matches_reference(_tcp, engine=engine,
+                              service_kwargs={"initial_size": 7})
+
+
+@RUNTIMES
+def test_checkpoint_restart_is_refused_at_several_groups(runtime):
+    """Stated once (``stack.install_checkpoint``), so both runtimes refuse:
+    a checkpoint names one instance frontier, not one per group."""
+    with runtime(n_groups=2) as cluster:
+        cluster.crash(2)
+        with pytest.raises(ConfigurationError, match="single-group only"):
+            cluster.restart_replica(2)
+        # Refused before anything was rebuilt: the survivors still serve.
+        client = cluster.client()
+        commands = _commands(2)[:BATCH]
+        assert len(client.execute_batch(commands)) == BATCH
