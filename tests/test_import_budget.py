@@ -8,6 +8,16 @@ process that runs one ``ReplicaServer`` (docs/deployment.md, *Transport*).
 The probe below runs the real ``net replica`` handler in a fresh
 interpreter and reports ``sys.modules`` at the point where the handler
 would wait for SIGTERM.
+
+The probe interpreter starts with ``-S`` and its first line is ``import
+site``: that loads ``site`` and ``_sitebuiltins`` but runs no
+``site.main()``, so no ``.pth`` file in the host's site-packages is
+processed.  The count then starts from CPython's stock start-up (32
+modules on 3.11.7, the same as a fresh ``python -m venv``), not from
+whatever a host's site hooks import before ``repro`` is touched (a
+certifi CA hook alone adds 22 modules to every process).  Those hooks are
+not the replica's imports.  With no site-packages on the path, a
+third-party import on the replica path fails the probe outright.
 """
 
 import json
@@ -31,13 +41,18 @@ FORBIDDEN = (
     "repro.smr.client",
 )
 
-#: ``len(sys.modules)`` of a started replica (CPython 3.11: 170 measured;
-#: the parent commit loaded 282).  Raise it only for a module a replica
+#: ``len(sys.modules)`` of a started replica, counted from a stock
+#: interpreter start-up (CPython 3.11.7: 168 measured; before the budget
+#: existed a replica loaded 282).  Raise it only for a module a replica
 #: actually runs.
 MODULE_BUDGET = 176
 
 _PROBE = """
-import json, sys
+import site
+import sys
+startup = sorted(sys.modules)
+import json
+print(json.dumps(startup))
 import repro.net.cli as cli
 # The handler is the real one; only its wait for SIGTERM is replaced.
 cli._wait_for_signal = lambda: print(json.dumps(sorted(sys.modules)))
@@ -63,9 +78,9 @@ def test_started_replica_imports_only_what_it_runs(tmp_path):
         path.write_text(
             loopback_config(3, wire="binary", metrics=metrics).to_json())
         paths.append(str(path))
-    result = _run("-c", _PROBE, *paths)
+    result = _run("-S", "-c", _PROBE, *paths)
     assert result.returncode == 0, result.stderr
-    plain, with_metrics = [
+    startup, plain, with_metrics = [
         json.loads(line) for line in result.stdout.splitlines()
         if line.startswith("[")]
     assert "repro.net.replica" in plain and "repro.net.transport" in plain
@@ -74,7 +89,8 @@ def test_started_replica_imports_only_what_it_runs(tmp_path):
         f"a replica process imported {leaked}")
     assert len(plain) <= MODULE_BUDGET, (
         f"{len(plain)} modules in a started replica, budget "
-        f"{MODULE_BUDGET}: {plain}")
+        f"{MODULE_BUDGET}; the replica path added "
+        f"{sorted(set(plain) - set(startup))}")
     # Lazy, not gone: the same process serves /metrics when asked to.
     assert "http.server" in with_metrics
 
