@@ -156,6 +156,8 @@ class ThreadedNode:
         return max(0.0, self._timers[0][0] - time.monotonic())
 
     def _fire_due_timers(self) -> None:
+        if self._stopped.is_set():
+            return  # stopping: the transport may close under any send
         now = time.monotonic()
         while self._timers and self._timers[0][0] <= now:
             _, _, timer_name = heapq.heappop(self._timers)

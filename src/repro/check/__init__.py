@@ -10,10 +10,15 @@ explored schedule is validated against the COS sequential specification
 (paper §3.3) plus deadlock/lost-wakeup detection.  Failing schedules are
 shrunk and frozen into deterministic replay files.
 
+The same CLI fronts the protocol-level harnesses (lease, rendezvous,
+speculation): each is a :class:`DecisionHarness`, explored by
+:func:`run_walk` and listed by :func:`protocol_harnesses`.
+
 Entry points:
 
 - CLI: ``python -m repro check --algorithm lock_free --workers 3 --commands 5``
-- API: :func:`run_check` / :func:`~repro.check.explorer.explore`
+- API: :func:`run_check` / :func:`~repro.check.explorer.explore`,
+  :func:`run_walk`, :func:`replay`
 - docs: ``docs/model_checking.md``
 """
 
@@ -22,54 +27,54 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from repro.check.explorer import ExploreResult, explore, explore_random
+from repro.check.explorer import (
+    DecisionHarness,
+    ExploreResult,
+    WalkReport,
+    explore,
+    explore_random,
+    run_schedule,
+    run_walk,
+)
+from repro.check.groups_rendezvous import GroupsCheckConfig
 from repro.check.harness import (
     CheckConfig,
     CheckExecution,
     run_with_decisions,
 )
 from repro.check.independence import independent
-from repro.check.mutants import MUTANTS, make_mutant
+from repro.check.mutants import MUTANTS, make_mutant, protocol_harnesses
 from repro.check.oracle import SpecOracle, Violation
-from repro.check.paxos_lease import (
-    LEASE_MUTANTS,
-    LeaseCheckConfig,
-    LeaseCheckReport,
-    run_lease_check,
-)
+from repro.check.paxos_lease import LeaseCheckConfig
 from repro.check.replay import load_replay, replay, save_replay
-from repro.check.shrink import ShrinkResult, shrink
-from repro.check.spec_rollback import (
-    SPEC_MUTANTS,
-    SpecCheckConfig,
-    SpecCheckReport,
-    run_spec_check,
-)
+from repro.check.shrink import ShrinkResult, ddmin, shrink
+from repro.check.spec_rollback import SpecCheckConfig
 
 __all__ = [
     "CheckConfig",
     "CheckExecution",
     "CheckReport",
+    "DecisionHarness",
     "ExploreResult",
-    "LEASE_MUTANTS",
+    "GroupsCheckConfig",
     "LeaseCheckConfig",
-    "LeaseCheckReport",
     "MUTANTS",
-    "SPEC_MUTANTS",
     "ShrinkResult",
     "SpecCheckConfig",
-    "SpecCheckReport",
     "SpecOracle",
     "Violation",
+    "WalkReport",
+    "ddmin",
     "explore",
     "explore_random",
     "independent",
     "load_replay",
     "make_mutant",
+    "protocol_harnesses",
     "replay",
     "run_check",
-    "run_lease_check",
-    "run_spec_check",
+    "run_schedule",
+    "run_walk",
     "run_with_decisions",
     "save_replay",
     "shrink",

@@ -22,20 +22,29 @@ transition wakes up and is explored again.  Every Mazurkiewicz trace keeps
 at least one representative, so no deadlock or safety violation inside the
 depth bound is missed (Godefroid 1996, Thm. 4.3).  ``use_sleep_sets=False``
 runs the naive full DFS over the same space, for measuring the reduction.
+
+The protocol-level checkers (lease, rendezvous, speculation) have no
+thread schedule to enumerate: each is a :class:`DecisionHarness` whose
+schedules are seeded random walks over its own decision vocabulary.
+:func:`run_walk` explores any of them and shrinks the first
+counterexample with :func:`~repro.check.shrink.ddmin`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.check.harness import CheckExecution
 from repro.check.independence import independent
+from repro.check.mutants import harness_of
 from repro.check.oracle import Violation
+from repro.check.shrink import ddmin
 from repro.errors import SimulationError
 
-__all__ = ["ExploreResult", "explore", "explore_random"]
+__all__ = ["DecisionHarness", "ExploreResult", "WalkReport", "explore",
+           "explore_random", "run_schedule", "run_walk"]
 
 
 @dataclass
@@ -267,3 +276,87 @@ def _child_sleep(exe: CheckExecution, frame: _Frame) -> Set[str]:
         if name in by_name
         and independent(exe.pending_effect(by_name[name]), fired)
     }
+
+
+# ------------------------------------------------------ protocol-level walks
+
+@dataclass(frozen=True)
+class DecisionHarness:
+    """What a protocol-level checker supplies; the walk, the shrinker, the
+    replay format and the registry (:mod:`repro.check.mutants`) are shared.
+    """
+
+    #: The ``--algorithm`` value and the replay file's ``"harness"`` key.
+    name: str
+    #: Replay file version, bumped when a recorded schedule would run
+    #: against a different system.
+    version: int
+    #: Seeded bugs: ``--mutant`` name -> the class replacing the real one.
+    mutants: Dict[str, type]
+    #: The config dataclass: fully determines the system under check.
+    config: type
+    #: Builds a fresh system from a config.  ``apply(decision, step)``
+    #: returns the first violation or None (a decision that cannot apply
+    #: is a deterministic no-op, an unknown one raises SimulationError);
+    #: ``finish(step)`` runs the end-of-run checks.
+    system: Callable[[Any], Any]
+    #: One seeded random schedule over the decision vocabulary.
+    generate_schedule: Callable[[Any, random.Random], List[str]]
+
+
+def run_schedule(config: Any, decisions: List[str]) -> Optional[Violation]:
+    """Deterministically run one decision list; first violation or None."""
+    system = harness_of(config).system(config)
+    for step, decision in enumerate(decisions):
+        violation = system.apply(decision, step)
+        if violation is not None:
+            return violation
+    return system.finish(len(decisions))
+
+
+@dataclass
+class WalkReport:
+    """Everything one protocol-harness exploration produced."""
+
+    schedules_explored: int
+    violation: Optional[Violation] = None
+    decisions: Optional[List[str]] = None
+    shrunk_decisions: Optional[List[str]] = None
+    shrink_candidates: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return self.violation is None
+
+    def describe(self) -> str:
+        found = ("no violation" if self.violation is None
+                 else self.violation.describe())
+        return f"explored {self.schedules_explored} schedules: {found}"
+
+
+def run_walk(
+    config: Any,
+    *,
+    max_schedules: int = 200,
+    seed: int = 0,
+    shrink_counterexamples: bool = True,
+    max_shrink_candidates: int = 400,
+) -> WalkReport:
+    """Random-walk ``config``'s schedule space; shrink the first
+    counterexample.  Schedule ``i`` is drawn from
+    ``random.Random(seed * 1_000_003 + i)``, so any one is reproducible."""
+    generate_schedule = harness_of(config).generate_schedule
+    for index in range(max_schedules):
+        rng = random.Random(seed * 1_000_003 + index)
+        decisions = generate_schedule(config, rng)
+        violation = run_schedule(config, decisions)
+        if violation is None:
+            continue
+        report = WalkReport(index + 1, violation, decisions)
+        if shrink_counterexamples:
+            (report.shrunk_decisions, report.violation,
+             report.shrink_candidates) = ddmin(
+                lambda candidate: run_schedule(config, candidate),
+                decisions, max_candidates=max_shrink_candidates)
+        return report
+    return WalkReport(max_schedules)

@@ -41,17 +41,19 @@ bit-for-bit.  Four oracles run as the walk progresses:
 Checker self-validation uses :data:`GROUPS_MUTANTS` — seeded merge bugs
 the walk must catch within a bounded budget (``groups-skip-hold`` releases
 a rendezvous as soon as any one copy surfaces; see
-tests/test_groups_check.py).  Counterexamples are shrunk ddmin-style and
-frozen into replay files marked ``"harness": "groups-rendezvous"``.
+tests/test_groups_check.py, tests/test_check_harnesses.py).  The walk, the
+ddmin shrinker and the replay files (``"harness": "groups-rendezvous"``)
+are the ones every :class:`~repro.check.explorer.DecisionHarness` shares.
 """
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.check.explorer import DecisionHarness
+from repro.check.mutants import mutant_class
 from repro.check.oracle import Violation
 from repro.core.command import Command, MultiKeyedConflicts
 from repro.errors import SimulationError
@@ -62,23 +64,13 @@ from repro.groups.partition import PartitionMap
 __all__ = [
     "GROUPS_MUTANTS",
     "GroupsCheckConfig",
-    "GroupsCheckReport",
+    "HARNESS",
     "RendezvousHarness",
-    "load_groups_replay",
-    "replay_groups",
-    "run_groups_check",
-    "run_groups_schedule",
-    "save_groups_replay",
-    "shrink_groups",
+    "generate_schedule",
 ]
 
-#: Value of the ``"harness"`` key in this module's replay files.
-REPLAY_HARNESS = "groups-rendezvous"
-
-_VERSION = 1
-
-#: Rendezvous-harness mutants, deliberately separate from the COS and
-#: lease registries (different harness, different oracles).
+#: Rendezvous-harness mutants (their names are disjoint from every other
+#: registry's, so ``--mutant`` alone selects the harness).
 GROUPS_MUTANTS = {
     "groups-skip-hold": SkipHoldMerger,
 }
@@ -94,23 +86,9 @@ class GroupsCheckConfig:
     schedule_length: int = 100
     mutant: Optional[str] = None
 
-    def as_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "GroupsCheckConfig":
-        return cls(**data)
-
-    def make_merger(self, conflicts: MultiKeyedConflicts) -> GroupMerger:
-        cls: type = GroupMerger
-        if self.mutant is not None:
-            try:
-                cls = GROUPS_MUTANTS[self.mutant]
-            except KeyError:
-                raise ValueError(
-                    f"unknown groups mutant {self.mutant!r}; expected one "
-                    f"of {sorted(GROUPS_MUTANTS)}") from None
-        return cls(self.n_groups, record_history=True, conflicts=conflicts)
+    def describe(self) -> str:
+        return (f"groups={self.n_groups} replicas={self.n_replicas} "
+                f"keys={self.key_space} length={self.schedule_length}")
 
 
 class RendezvousHarness:
@@ -120,8 +98,10 @@ class RendezvousHarness:
         self.config = config
         self.conflicts = MultiKeyedConflicts()
         self.partition_map = PartitionMap(self.conflicts, config.n_groups)
+        merger = mutant_class(GROUPS_MUTANTS, config.mutant, GroupMerger)
         self.mergers: List[GroupMerger] = [
-            config.make_merger(self.conflicts)
+            merger(config.n_groups, record_history=True,
+                   conflicts=self.conflicts)
             for _ in range(config.n_replicas)
         ]
         #: The groups' consensus orders — one shared log per group; every
@@ -245,7 +225,7 @@ class RendezvousHarness:
                         step)
         return None
 
-    def finish(self, step: Optional[int] = None) -> Optional[Violation]:
+    def finish(self, step: int) -> Optional[Violation]:
         """Force-drain every replica and check end-of-run completeness."""
         for replica in range(self.config.n_replicas):
             for group in range(self.config.n_groups):
@@ -280,17 +260,6 @@ class RendezvousHarness:
         return None
 
 
-def run_groups_schedule(config: GroupsCheckConfig,
-                        decisions: List[str]) -> Optional[Violation]:
-    """Deterministically run one decision list; first violation or None."""
-    harness = RendezvousHarness(config)
-    for step, decision in enumerate(decisions):
-        violation = harness.apply(decision, step)
-        if violation is not None:
-            return violation
-    return harness.finish(len(decisions))
-
-
 # ------------------------------------------------------------- exploration
 
 def generate_schedule(config: GroupsCheckConfig,
@@ -314,130 +283,11 @@ def generate_schedule(config: GroupsCheckConfig,
     return decisions
 
 
-def shrink_groups(config: GroupsCheckConfig, decisions: List[str],
-                  max_candidates: int = 400,
-                  ) -> Tuple[List[str], Violation, int]:
-    """ddmin-style shrink: drop chunks while some violation persists."""
-    current = list(decisions)
-    violation = run_groups_schedule(config, current)
-    if violation is None:
-        raise SimulationError("shrink_groups needs a violating schedule")
-    tried = 0
-    chunk = max(1, len(current) // 2)
-    while tried < max_candidates:
-        index = 0
-        removed = False
-        while index < len(current) and tried < max_candidates:
-            candidate = current[:index] + current[index + chunk:]
-            tried += 1
-            found = run_groups_schedule(config, candidate)
-            if found is not None:
-                current, violation, removed = candidate, found, True
-            else:
-                index += chunk
-        if chunk == 1 and not removed:
-            break
-        if not removed:
-            chunk = max(1, chunk // 2)
-    return current, violation, tried
-
-
-@dataclass
-class GroupsCheckReport:
-    """Everything one rendezvous-harness exploration produced."""
-
-    config: GroupsCheckConfig
-    schedules_explored: int
-    violation: Optional[Violation] = None
-    decisions: Optional[List[str]] = None
-    shrunk_decisions: Optional[List[str]] = None
-    shrink_candidates: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-    def describe(self) -> str:
-        if self.ok:
-            return (f"explored {self.schedules_explored} schedules: "
-                    f"no violation")
-        assert self.violation is not None
-        return (f"explored {self.schedules_explored} schedules: "
-                f"{self.violation.describe()}")
-
-
-def run_groups_check(
-    config: GroupsCheckConfig,
-    *,
-    max_schedules: int = 200,
-    seed: int = 0,
-    shrink_counterexamples: bool = True,
-    max_shrink_candidates: int = 400,
-) -> GroupsCheckReport:
-    """Random-walk the schedule space; shrink the first counterexample."""
-    for index in range(max_schedules):
-        rng = random.Random(seed * 1_000_003 + index)
-        decisions = generate_schedule(config, rng)
-        violation = run_groups_schedule(config, decisions)
-        if violation is None:
-            continue
-        report = GroupsCheckReport(
-            config=config,
-            schedules_explored=index + 1,
-            violation=violation,
-            decisions=decisions,
-        )
-        if shrink_counterexamples:
-            shrunk, shrunk_violation, tried = shrink_groups(
-                config, decisions, max_candidates=max_shrink_candidates)
-            report.shrunk_decisions = shrunk
-            report.violation = shrunk_violation
-            report.shrink_candidates = tried
-        return report
-    return GroupsCheckReport(config=config, schedules_explored=max_schedules)
-
-
-# ------------------------------------------------------------------ replay
-
-def save_groups_replay(path: str, config: GroupsCheckConfig,
-                       decisions: List[str], violation: Violation) -> None:
-    """Write a rendezvous-harness counterexample replay file."""
-    document = {
-        "version": _VERSION,
-        "harness": REPLAY_HARNESS,
-        "config": config.as_dict(),
-        "decisions": list(decisions),
-        "violation": {
-            "kind": violation.kind,
-            "message": violation.message,
-            "step": violation.step,
-        },
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-
-
-def load_groups_replay(
-        path: str) -> Tuple[GroupsCheckConfig, List[str], Violation]:
-    """Read a groups replay back into (config, decisions, violation)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document: Dict[str, Any] = json.load(handle)
-    if document.get("harness") != REPLAY_HARNESS:
-        raise SimulationError(
-            f"{path} is not a {REPLAY_HARNESS} replay file")
-    if document.get("version") != _VERSION:
-        raise SimulationError(
-            f"unsupported replay file version {document.get('version')!r}")
-    config = GroupsCheckConfig.from_dict(document["config"])
-    recorded = document["violation"]
-    violation = Violation(recorded["kind"], recorded["message"],
-                          recorded.get("step"))
-    return config, list(document["decisions"]), violation
-
-
-def replay_groups(path: str) -> Optional[Violation]:
-    """Re-run a recorded counterexample; the violation seen, or None if
-    the recorded schedule no longer violates (e.g. the bug was fixed)."""
-    config, decisions, _recorded = load_groups_replay(path)
-    return run_groups_schedule(config, decisions)
+HARNESS = DecisionHarness(
+    name="groups-rendezvous",
+    version=1,
+    mutants=GROUPS_MUTANTS,
+    config=GroupsCheckConfig,
+    system=RendezvousHarness,
+    generate_schedule=generate_schedule,
+)

@@ -16,7 +16,7 @@ controlled mode contains no clock and no RNG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core import (
     AlwaysConflicts,
@@ -62,21 +62,6 @@ class CheckConfig:
     def normalized_algorithm(self) -> str:
         # The CLI accepts paper-style underscores (``lock_free``) too.
         return self.algorithm.replace("_", "-")
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "algorithm": self.algorithm,
-            "workers": self.workers,
-            "commands": self.commands,
-            "max_size": self.max_size,
-            "write_every": self.write_every,
-            "key_space": self.key_space,
-            "mutant": self.mutant,
-        }
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "CheckConfig":
-        return CheckConfig(**data)
 
 
 def _make_commands(config: CheckConfig) -> List[Command]:

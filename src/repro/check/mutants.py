@@ -1,4 +1,11 @@
-"""Hand-broken lock-free COS variants for checker self-validation.
+"""Seeded-bug registries for checker self-validation.
+
+This module holds the one registry of checkers behind ``repro check``: the
+COS mutants below, and the protocol-level harnesses
+(:func:`protocol_harnesses`), each with its own mutant registry.  Every
+``--mutant`` name is resolved through :func:`mutant_class`.
+
+The hand-broken lock-free COS variants:
 
 A model checker that only ever passes on correct code proves nothing.  Each
 mutant here reintroduces a real concurrency bug class that the paper's
@@ -41,7 +48,9 @@ the checker catches every one within a bounded exploration budget:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import functools
+import importlib
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.command import Command, ConflictRelation
 from repro.core.cos import COS, StructureCosts
@@ -52,7 +61,11 @@ from repro.core.lock_free import LockFreeCOS
 from repro.core.node import EXECUTING, READY, REMOVED, LockFreeNode
 from repro.core.runtime import EffectGen, Runtime
 
-__all__ = ["MUTANTS", "make_mutant"]
+if TYPE_CHECKING:
+    from repro.check.explorer import DecisionHarness
+
+__all__ = ["MUTANTS", "harness_of", "make_mutant", "mutant_class",
+           "protocol_harnesses"]
 
 
 class SkipCasRetryCOS(LockFreeCOS):
@@ -183,15 +196,45 @@ MUTANTS = {
 }
 
 
-def make_mutant(name: str, runtime: Runtime, conflicts: ConflictRelation,
-                max_size: int, workers: Optional[int] = None) -> COS:
-    """Instantiate a named mutant (a lock-free, indexed or early variant)."""
+#: The protocol-level harness modules, in ``repro check`` order; each
+#: exports ``HARNESS``.  Imported on first use, because they import this
+#: module for :func:`mutant_class`.
+_HARNESS_MODULES = ("paxos_lease", "groups_rendezvous", "spec_rollback")
+
+
+@functools.lru_cache(maxsize=None)
+def protocol_harnesses() -> Dict[str, "DecisionHarness"]:
+    """``--algorithm`` name -> protocol-level harness."""
+    harnesses = [importlib.import_module(f"repro.check.{module}").HARNESS
+                 for module in _HARNESS_MODULES]
+    return {harness.name: harness for harness in harnesses}
+
+
+def harness_of(config: Any) -> "DecisionHarness":
+    """The protocol-level harness whose config ``config`` is."""
+    for harness in protocol_harnesses().values():
+        if isinstance(config, harness.config):
+            return harness
+    raise TypeError(f"no protocol harness checks {type(config).__name__}")
+
+
+def mutant_class(registry: Dict[str, type], name: Optional[str],
+                 real: type) -> type:
+    """``real``, or the seeded-bug variant ``name`` from ``registry``."""
+    if name is None:
+        return real
     try:
-        cls = MUTANTS[name]
+        return registry[name]
     except KeyError:
         raise ValueError(
             f"unknown mutant {name!r}; expected one of "
-            f"{sorted(MUTANTS)}") from None
+            f"{sorted(registry)}") from None
+
+
+def make_mutant(name: str, runtime: Runtime, conflicts: ConflictRelation,
+                max_size: int, workers: Optional[int] = None) -> COS:
+    """Instantiate a named mutant (a lock-free, indexed or early variant)."""
+    cls = mutant_class(MUTANTS, name, LockFreeCOS)
     if issubclass(cls, EarlyCOS):
         config = EarlyConfig(workers=workers or DEFAULT_WORKERS)
         return cls(runtime, conflicts, max_size, StructureCosts.zero(),

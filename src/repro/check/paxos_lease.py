@@ -45,18 +45,17 @@ sender's delivered sequence; installing one adopts it, and must extend
 what the receiver had delivered itself.
 
 Checker self-validation uses :data:`LEASE_MUTANTS` — seeded bugs the
-random walk must catch within a bounded budget (``lease-ignore-expiry``
-and ``promise-below-floor`` run in CI; see tests/test_check_lease.py).  Counterexamples are shrunk
-ddmin-style and frozen into replay files distinguished from COS replays by
-a ``"harness": "paxos-lease"`` key.
+random walk must catch within a bounded budget (tests/test_check_lease.py,
+tests/test_check_harnesses.py).  The walk, the ddmin shrinker and the
+replay files (``"harness": "paxos-lease"``) are the ones every
+:class:`~repro.check.explorer.DecisionHarness` shares.
 """
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Set, Tuple
 
 from repro.broadcast.messages import (
     Deliver,
@@ -73,32 +72,20 @@ from repro.broadcast.paxos import (
     LINGER_TIMER,
     MultiPaxos,
 )
+from repro.check.explorer import DecisionHarness
+from repro.check.mutants import mutant_class
 from repro.check.oracle import Violation
 from repro.errors import SimulationError
 
 __all__ = [
+    "HARNESS",
     "LEASE_MUTANTS",
     "LeaseCheckConfig",
-    "LeaseCheckReport",
     "LeaseHarness",
     "LeaseIgnoreExpiry",
     "PromiseBelowFloor",
-    "load_lease_replay",
-    "replay_harness_kind",
-    "replay_lease",
-    "run_lease_check",
-    "run_lease_schedule",
-    "save_lease_replay",
-    "shrink_lease",
+    "generate_schedule",
 ]
-
-#: Value of the ``"harness"`` key in this module's replay files (COS
-#: replays have no such key).
-REPLAY_HARNESS = "paxos-lease"
-
-#: 2: every node compacts its log (CHECK_RETAIN); a version-1 schedule
-#: would replay against a different system.
-_VERSION = 2
 
 #: Delivered instances each node retains: small enough that a node one
 #: dropped batch behind is already under its peers' log floor.
@@ -140,9 +127,8 @@ class PromiseBelowFloor(MultiPaxos):
     _HANDLERS = {**MultiPaxos._HANDLERS, Prepare: _on_prepare}
 
 
-#: Lease-harness mutants, deliberately separate from the COS
-#: :data:`repro.check.mutants.MUTANTS` registry (different harness,
-#: different oracles).
+#: Lease-harness mutants (their names are disjoint from every other
+#: registry's, so ``--mutant`` alone selects the harness).
 LEASE_MUTANTS = {
     "lease-ignore-expiry": LeaseIgnoreExpiry,
     "promise-below-floor": PromiseBelowFloor,
@@ -167,12 +153,9 @@ class LeaseCheckConfig:
     schedule_length: int = 120
     mutant: Optional[str] = None
 
-    def as_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "LeaseCheckConfig":
-        return cls(**data)
+    def describe(self) -> str:
+        return (f"nodes={self.n_nodes} lease={self.lease_duration}s "
+                f"margin={self.lease_margin}s skew={self.clock_skew}")
 
     def rates(self) -> List[float]:
         """Per-node clock rates: a deterministic spread across the skew."""
@@ -183,14 +166,7 @@ class LeaseCheckConfig:
                 for i in range(self.n_nodes)]
 
     def make_node(self, node_id: int, clock) -> MultiPaxos:
-        cls: type = MultiPaxos
-        if self.mutant is not None:
-            try:
-                cls = LEASE_MUTANTS[self.mutant]
-            except KeyError:
-                raise ValueError(
-                    f"unknown lease mutant {self.mutant!r}; expected one "
-                    f"of {sorted(LEASE_MUTANTS)}") from None
+        cls = mutant_class(LEASE_MUTANTS, self.mutant, MultiPaxos)
         return cls(
             node_id,
             self.n_nodes,
@@ -233,7 +209,6 @@ class LeaseHarness:
         self.order: List[Any] = []
         self.write_count = 0
         self.read_count = 0
-        self.lease_reads = 0
         for node_id, node in enumerate(self.nodes):
             self._absorb(node_id, node.start(), step=None)
 
@@ -387,7 +362,6 @@ class LeaseHarness:
         actions = self.nodes[node_id].submit_read(token)
         for action in actions:
             if isinstance(action, DeliverRead):
-                self.lease_reads += 1
                 missing = completed - self.delivered_writes[node_id]
                 if missing:
                     return Violation(
@@ -397,16 +371,9 @@ class LeaseHarness:
                         step)
         return self._absorb(node_id, actions, step)
 
-
-def run_lease_schedule(config: LeaseCheckConfig,
-                       decisions: List[str]) -> Optional[Violation]:
-    """Deterministically run one decision list; first violation or None."""
-    harness = LeaseHarness(config)
-    for step, decision in enumerate(decisions):
-        violation = harness.apply(decision, step)
-        if violation is not None:
-            return violation
-    return None
+    def finish(self, step: int) -> Optional[Violation]:
+        """Every oracle ran after each decision: nothing is left to check."""
+        return None
 
 
 # ------------------------------------------------------------- exploration
@@ -446,137 +413,13 @@ def generate_schedule(config: LeaseCheckConfig,
     return decisions
 
 
-def shrink_lease(config: LeaseCheckConfig, decisions: List[str],
-                 max_candidates: int = 400,
-                 ) -> Tuple[List[str], Violation, int]:
-    """ddmin-style shrink: drop chunks while some violation persists."""
-    current = list(decisions)
-    violation = run_lease_schedule(config, current)
-    if violation is None:
-        raise SimulationError("shrink_lease needs a violating schedule")
-    tried = 0
-    chunk = max(1, len(current) // 2)
-    while tried < max_candidates:
-        index = 0
-        removed = False
-        while index < len(current) and tried < max_candidates:
-            candidate = current[:index] + current[index + chunk:]
-            tried += 1
-            found = run_lease_schedule(config, candidate)
-            if found is not None:
-                current, violation, removed = candidate, found, True
-            else:
-                index += chunk
-        if chunk == 1 and not removed:
-            break
-        if not removed:
-            chunk = max(1, chunk // 2)
-    return current, violation, tried
-
-
-@dataclass
-class LeaseCheckReport:
-    """Everything one lease-harness exploration produced."""
-
-    config: LeaseCheckConfig
-    schedules_explored: int
-    violation: Optional[Violation] = None
-    decisions: Optional[List[str]] = None
-    shrunk_decisions: Optional[List[str]] = None
-    shrink_candidates: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-    def describe(self) -> str:
-        if self.ok:
-            return (f"explored {self.schedules_explored} schedules: "
-                    f"no violation")
-        assert self.violation is not None
-        return (f"explored {self.schedules_explored} schedules: "
-                f"{self.violation.describe()}")
-
-
-def run_lease_check(
-    config: LeaseCheckConfig,
-    *,
-    max_schedules: int = 200,
-    seed: int = 0,
-    shrink_counterexamples: bool = True,
-    max_shrink_candidates: int = 400,
-) -> LeaseCheckReport:
-    """Random-walk the schedule space; shrink the first counterexample."""
-    for index in range(max_schedules):
-        rng = random.Random(seed * 1_000_003 + index)
-        decisions = generate_schedule(config, rng)
-        violation = run_lease_schedule(config, decisions)
-        if violation is None:
-            continue
-        report = LeaseCheckReport(
-            config=config,
-            schedules_explored=index + 1,
-            violation=violation,
-            decisions=decisions,
-        )
-        if shrink_counterexamples:
-            shrunk, shrunk_violation, tried = shrink_lease(
-                config, decisions, max_candidates=max_shrink_candidates)
-            report.shrunk_decisions = shrunk
-            report.violation = shrunk_violation
-            report.shrink_candidates = tried
-        return report
-    return LeaseCheckReport(config=config, schedules_explored=max_schedules)
-
-
-# ------------------------------------------------------------------ replay
-
-def save_lease_replay(path: str, config: LeaseCheckConfig,
-                      decisions: List[str], violation: Violation) -> None:
-    """Write a lease-harness counterexample replay file."""
-    document = {
-        "version": _VERSION,
-        "harness": REPLAY_HARNESS,
-        "config": config.as_dict(),
-        "decisions": list(decisions),
-        "violation": {
-            "kind": violation.kind,
-            "message": violation.message,
-            "step": violation.step,
-        },
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-
-
-def load_lease_replay(
-        path: str) -> Tuple[LeaseCheckConfig, List[str], Violation]:
-    """Read a lease replay back into (config, decisions, violation)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document: Dict[str, Any] = json.load(handle)
-    if document.get("harness") != REPLAY_HARNESS:
-        raise SimulationError(
-            f"{path} is not a {REPLAY_HARNESS} replay file")
-    if document.get("version") != _VERSION:
-        raise SimulationError(
-            f"unsupported replay file version {document.get('version')!r}")
-    config = LeaseCheckConfig.from_dict(document["config"])
-    recorded = document["violation"]
-    violation = Violation(recorded["kind"], recorded["message"],
-                          recorded.get("step"))
-    return config, list(document["decisions"]), violation
-
-
-def replay_lease(path: str) -> Optional[Violation]:
-    """Re-run a recorded lease counterexample; the violation seen, or None
-    if the recorded schedule no longer violates (e.g. the bug was fixed)."""
-    config, decisions, _recorded = load_lease_replay(path)
-    return run_lease_schedule(config, decisions)
-
-
-def replay_harness_kind(path: str) -> Optional[str]:
-    """Peek a replay file's harness key ("paxos-lease" or None for COS)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    return document.get("harness")
+#: 2: every node compacts its log (CHECK_RETAIN); a version-1 schedule
+#: would replay against a different system.
+HARNESS = DecisionHarness(
+    name="paxos-lease",
+    version=2,
+    mutants=LEASE_MUTANTS,
+    config=LeaseCheckConfig,
+    system=LeaseHarness,
+    generate_schedule=generate_schedule,
+)

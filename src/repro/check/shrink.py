@@ -1,6 +1,9 @@
 """Counterexample minimization.
 
-A raw counterexample from the explorer is a decision sequence hundreds of
+Two shrinkers: :func:`ddmin` for the protocol-level harnesses, whose
+decisions never stop applying, and :func:`shrink` for the COS checker.
+
+A raw COS counterexample from the explorer is a decision sequence hundreds of
 steps long, most of it irrelevant prefix scheduling.  The shrinker reduces
 it with two passes, re-running each candidate (non-strict replay: decisions
 that no longer apply fall back to the first runnable process, and the
@@ -21,12 +24,44 @@ deterministically to the same violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.check.harness import CheckConfig, CheckExecution, run_with_decisions
 from repro.check.oracle import Violation
+from repro.errors import SimulationError
 
-__all__ = ["ShrinkResult", "shrink"]
+__all__ = ["ShrinkResult", "ddmin", "shrink"]
+
+
+def ddmin(run: Callable[[List[str]], Optional[Violation]],
+          decisions: List[str], max_candidates: int = 400,
+          ) -> Tuple[List[str], Violation, int]:
+    """ddmin-style shrink of a protocol-harness schedule: drop chunks
+    while *some* violation persists.  ``run`` executes one candidate
+    decision list and returns its first violation (or None); returns the
+    shrunk list, its violation and the number of candidates tried."""
+    current = list(decisions)
+    violation = run(current)
+    if violation is None:
+        raise SimulationError("ddmin needs a violating schedule")
+    tried = 0
+    chunk = max(1, len(current) // 2)
+    while tried < max_candidates:
+        index = 0
+        removed = False
+        while index < len(current) and tried < max_candidates:
+            candidate = current[:index] + current[index + chunk:]
+            tried += 1
+            found = run(candidate)
+            if found is not None:
+                current, violation, removed = candidate, found, True
+            else:
+                index += chunk
+        if chunk == 1 and not removed:
+            break
+        if not removed:
+            chunk = max(1, chunk // 2)
+    return current, violation, tried
 
 
 @dataclass

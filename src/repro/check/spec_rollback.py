@@ -45,19 +45,22 @@ Oracles, as the walk progresses:
 
 Checker self-validation uses :data:`SPEC_MUTANTS` — seeded engine bugs
 the walk must catch within a bounded budget (``spec-skip-undo`` rolls
-back without applying undo records; see tests/test_spec_check.py).
-Counterexamples are shrunk ddmin-style and frozen into replay files
-marked ``"harness": "spec-rollback"``.
+back without applying undo records; see tests/test_spec_check.py,
+tests/test_check_harnesses.py).  The walk, the ddmin shrinker and the
+replay files (``"harness": "spec-rollback"``) are the ones every
+:class:`~repro.check.explorer.DecisionHarness` shares.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Hashable, List, Optional
 
 from repro.apps.kvstore import KVStoreService
+from repro.check.explorer import DecisionHarness
+from repro.check.mutants import mutant_class
 from repro.check.oracle import Violation
 from repro.core.command import Command
 from repro.errors import SimulationError
@@ -65,25 +68,15 @@ from repro.groups.merge import command_key
 from repro.spec.engine import SkipUndoEngine, SpeculationEngine
 
 __all__ = [
+    "HARNESS",
     "SPEC_MUTANTS",
     "SpecCheckConfig",
-    "SpecCheckReport",
     "SpecRollbackHarness",
-    "load_spec_replay",
-    "replay_spec",
-    "run_spec_check",
-    "run_spec_schedule",
-    "save_spec_replay",
-    "shrink_spec",
+    "generate_schedule",
 ]
 
-#: Value of the ``"harness"`` key in this module's replay files.
-REPLAY_HARNESS = "spec-rollback"
-
-_VERSION = 1
-
-#: Speculation-harness mutants, deliberately separate from the COS,
-#: lease, and groups registries (different harness, different oracles).
+#: Speculation-harness mutants (their names are disjoint from every other
+#: registry's, so ``--mutant`` alone selects the harness).
 SPEC_MUTANTS = {
     "spec-skip-undo": SkipUndoEngine,
 }
@@ -99,23 +92,9 @@ class SpecCheckConfig:
     schedule_length: int = 80
     mutant: Optional[str] = None
 
-    def as_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SpecCheckConfig":
-        return cls(**data)
-
-    def make_engine(self, service: KVStoreService) -> SpeculationEngine:
-        cls: type = SpeculationEngine
-        if self.mutant is not None:
-            try:
-                cls = SPEC_MUTANTS[self.mutant]
-            except KeyError:
-                raise ValueError(
-                    f"unknown spec mutant {self.mutant!r}; expected one "
-                    f"of {sorted(SPEC_MUTANTS)}") from None
-        return cls(service)
+    def describe(self) -> str:
+        return (f"replicas={self.n_replicas} keys={self.key_space} "
+                f"length={self.schedule_length}")
 
 
 def _canonical(snapshot: Any) -> str:
@@ -129,16 +108,16 @@ class SpecRollbackHarness:
     def __init__(self, config: SpecCheckConfig):
         self.config = config
         self.services = [KVStoreService() for _ in range(config.n_replicas)]
-        self.engines = [config.make_engine(service)
-                        for service in self.services]
-        #: Commands issued so far (the clients' stream).
+        engine = mutant_class(SPEC_MUTANTS, config.mutant,
+                              SpeculationEngine)
+        self.engines = [engine(service) for service in self.services]
+        #: Commands issued so far (the clients' stream): request ids 1, 2, ...
         self.issued: List[Command] = []
         #: The conservative (consensus) order — shared by all replicas.
         self.order: List[Command] = []
         self._ordered_keys: set = set()
         #: Per replica: next conservative position to confirm.
         self.cursors = [0] * config.n_replicas
-        self._seq = 0
         # Reference sequential execution of the conservative order.
         self._reference = KVStoreService()
         #: Reference snapshots, one per conservative prefix (index i =
@@ -147,15 +126,6 @@ class SpecRollbackHarness:
             _canonical(self._reference.snapshot())]
         self._reference_responses: Dict[Hashable, Any] = {}
 
-    # ------------------------------------------------------------- commands
-
-    def _issue(self, command: Command) -> None:
-        self.issued.append(command)
-
-    def _next_id(self) -> int:
-        self._seq += 1
-        return self._seq
-
     # ------------------------------------------------------------ decisions
 
     def apply(self, decision: str, step: int) -> Optional[Violation]:
@@ -163,22 +133,22 @@ class SpecRollbackHarness:
         op, _, arg = decision.partition(":")
         if op == "put":
             key_s, _, value_s = arg.partition("-")
-            self._issue(KVStoreService.put(
+            self.issued.append(KVStoreService.put(
                 f"k{int(key_s) % self.config.key_space}",
                 int(value_s) % self.config.value_space,
-                client_id="chk", request_id=self._next_id()))
+                client_id="chk", request_id=len(self.issued) + 1))
         elif op == "cas":
             key_s, _, rest = arg.partition("-")
             expected_s, _, new_s = rest.partition("-")
-            self._issue(KVStoreService.cas(
+            self.issued.append(KVStoreService.cas(
                 f"k{int(key_s) % self.config.key_space}",
                 int(expected_s) % self.config.value_space,
                 int(new_s) % self.config.value_space,
-                client_id="chk", request_id=self._next_id()))
+                client_id="chk", request_id=len(self.issued) + 1))
         elif op == "get":
-            self._issue(KVStoreService.get(
+            self.issued.append(KVStoreService.get(
                 f"k{int(arg) % self.config.key_space}",
-                client_id="chk", request_id=self._next_id()))
+                client_id="chk", request_id=len(self.issued) + 1))
         elif op in ("opt", "dup"):
             replica_s, _, index_s = arg.partition(",")
             replica = int(replica_s) % self.config.n_replicas
@@ -250,7 +220,7 @@ class SpecRollbackHarness:
                 step)
         return None
 
-    def finish(self, step: Optional[int] = None) -> Optional[Violation]:
+    def finish(self, step: int) -> Optional[Violation]:
         """Order everything, drain every replica, check the final states."""
         for command in self.issued:
             self._order(command)
@@ -271,17 +241,6 @@ class SpecRollbackHarness:
             if violation is not None:
                 return violation
         return None
-
-
-def run_spec_schedule(config: SpecCheckConfig,
-                      decisions: List[str]) -> Optional[Violation]:
-    """Deterministically run one decision list; first violation or None."""
-    harness = SpecRollbackHarness(config)
-    for step, decision in enumerate(decisions):
-        violation = harness.apply(decision, step)
-        if violation is not None:
-            return violation
-    return harness.finish(len(decisions))
 
 
 # ------------------------------------------------------------- exploration
@@ -319,130 +278,11 @@ def generate_schedule(config: SpecCheckConfig,
     return decisions
 
 
-def shrink_spec(config: SpecCheckConfig, decisions: List[str],
-                max_candidates: int = 400,
-                ) -> Tuple[List[str], Violation, int]:
-    """ddmin-style shrink: drop chunks while some violation persists."""
-    current = list(decisions)
-    violation = run_spec_schedule(config, current)
-    if violation is None:
-        raise SimulationError("shrink_spec needs a violating schedule")
-    tried = 0
-    chunk = max(1, len(current) // 2)
-    while tried < max_candidates:
-        index = 0
-        removed = False
-        while index < len(current) and tried < max_candidates:
-            candidate = current[:index] + current[index + chunk:]
-            tried += 1
-            found = run_spec_schedule(config, candidate)
-            if found is not None:
-                current, violation, removed = candidate, found, True
-            else:
-                index += chunk
-        if chunk == 1 and not removed:
-            break
-        if not removed:
-            chunk = max(1, chunk // 2)
-    return current, violation, tried
-
-
-@dataclass
-class SpecCheckReport:
-    """Everything one spec-rollback exploration produced."""
-
-    config: SpecCheckConfig
-    schedules_explored: int
-    violation: Optional[Violation] = None
-    decisions: Optional[List[str]] = None
-    shrunk_decisions: Optional[List[str]] = None
-    shrink_candidates: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-    def describe(self) -> str:
-        if self.ok:
-            return (f"explored {self.schedules_explored} schedules: "
-                    f"no violation")
-        assert self.violation is not None
-        return (f"explored {self.schedules_explored} schedules: "
-                f"{self.violation.describe()}")
-
-
-def run_spec_check(
-    config: SpecCheckConfig,
-    *,
-    max_schedules: int = 200,
-    seed: int = 0,
-    shrink_counterexamples: bool = True,
-    max_shrink_candidates: int = 400,
-) -> SpecCheckReport:
-    """Random-walk the schedule space; shrink the first counterexample."""
-    for index in range(max_schedules):
-        rng = random.Random(seed * 1_000_003 + index)
-        decisions = generate_schedule(config, rng)
-        violation = run_spec_schedule(config, decisions)
-        if violation is None:
-            continue
-        report = SpecCheckReport(
-            config=config,
-            schedules_explored=index + 1,
-            violation=violation,
-            decisions=decisions,
-        )
-        if shrink_counterexamples:
-            shrunk, shrunk_violation, tried = shrink_spec(
-                config, decisions, max_candidates=max_shrink_candidates)
-            report.shrunk_decisions = shrunk
-            report.violation = shrunk_violation
-            report.shrink_candidates = tried
-        return report
-    return SpecCheckReport(config=config, schedules_explored=max_schedules)
-
-
-# ------------------------------------------------------------------ replay
-
-def save_spec_replay(path: str, config: SpecCheckConfig,
-                     decisions: List[str], violation: Violation) -> None:
-    """Write a spec-rollback counterexample replay file."""
-    document = {
-        "version": _VERSION,
-        "harness": REPLAY_HARNESS,
-        "config": config.as_dict(),
-        "decisions": list(decisions),
-        "violation": {
-            "kind": violation.kind,
-            "message": violation.message,
-            "step": violation.step,
-        },
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-
-
-def load_spec_replay(
-        path: str) -> Tuple[SpecCheckConfig, List[str], Violation]:
-    """Read a spec replay back into (config, decisions, violation)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document: Dict[str, Any] = json.load(handle)
-    if document.get("harness") != REPLAY_HARNESS:
-        raise SimulationError(
-            f"{path} is not a {REPLAY_HARNESS} replay file")
-    if document.get("version") != _VERSION:
-        raise SimulationError(
-            f"unsupported replay file version {document.get('version')!r}")
-    config = SpecCheckConfig.from_dict(document["config"])
-    recorded = document["violation"]
-    violation = Violation(recorded["kind"], recorded["message"],
-                          recorded.get("step"))
-    return config, list(document["decisions"]), violation
-
-
-def replay_spec(path: str) -> Optional[Violation]:
-    """Re-run a recorded counterexample; the violation seen, or None if
-    the recorded schedule no longer violates (e.g. the bug was fixed)."""
-    config, decisions, _recorded = load_spec_replay(path)
-    return run_spec_schedule(config, decisions)
+HARNESS = DecisionHarness(
+    name="spec-rollback",
+    version=1,
+    mutants=SPEC_MUTANTS,
+    config=SpecCheckConfig,
+    system=SpecRollbackHarness,
+    generate_schedule=generate_schedule,
+)

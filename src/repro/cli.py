@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import List, Optional
 
 from repro.core import COS_ALGORITHMS
 from repro.net.cli import add_net_parser, run_net
@@ -65,6 +65,25 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "YCSB-style)")
     parser.add_argument("--zipf-s", type=float, default=0.99,
                         help="Zipf exponent for --key-dist zipf")
+
+
+class _CheckHelpFormatter(argparse.HelpFormatter):
+    """Fills ``check --help`` from the checker registry, imported only when
+    that help is printed."""
+
+    def _get_help_string(self, action: argparse.Action) -> Optional[str]:
+        text = super()._get_help_string(action)
+        if not text or "{" not in text:
+            return text
+        from repro.check.mutants import MUTANTS, protocol_harnesses
+
+        harnesses = protocol_harnesses().values()
+        registries = [("COS", MUTANTS)] + [(h.name, h.mutants)
+                                           for h in harnesses]
+        return text.format(
+            harnesses=", ".join(h.name for h in harnesses),
+            mutants="; ".join(f"{name}: {', '.join(sorted(mutants))}"
+                              for name, mutants in registries))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,17 +127,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ablations.add_argument("--full", action="store_true")
 
     check = sub.add_parser(
-        "check",
+        "check", formatter_class=_CheckHelpFormatter,
         help="systematic schedule-space model check against the COS spec")
     check.add_argument("--algorithm", "--scheduler", default="lock-free",
                        help="COS algorithm (underscores accepted, e.g. "
-                            "lock_free; --scheduler is an alias), "
-                            "paxos-lease for the leader-lease harness "
-                            "(docs/ordering.md), groups-rendezvous for "
-                            "the cross-partition merge harness "
-                            "(docs/partitioning.md), or spec-rollback for "
-                            "the optimistic commit/rollback harness "
-                            "(docs/speculation.md)")
+                            "lock_free; --scheduler is an alias) or a "
+                            "protocol-level harness: {harnesses} "
+                            "(docs/model_checking.md)")
     check.add_argument("--workers", type=int, default=3)
     check.add_argument("--commands", type=int, default=5)
     check.add_argument("--max-size", type=int, default=4,
@@ -134,12 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=0,
                        help="seed for the random-walk exploration stage")
     check.add_argument("--mutant", default=None,
-                       help="check a seeded-bug variant (repro.check."
-                            "mutants, a lease mutant from repro.check."
-                            "paxos_lease, a groups mutant from "
-                            "repro.check.groups_rendezvous, or a spec "
-                            "mutant from repro.check.spec_rollback) "
-                            "instead of the real implementation")
+                       help="check a seeded-bug variant instead of the "
+                            "real implementation; it selects its harness: "
+                            "{mutants}")
     check.add_argument("--replay", metavar="FILE",
                        help="re-run a recorded counterexample file instead "
                             "of exploring")
@@ -354,68 +366,15 @@ def _cmd_smr_wallclock(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Harness(NamedTuple):
-    """One protocol-level ``repro check`` harness (a seeded random walk
-    over a protocol's schedules, not over COS thread interleavings)."""
-
-    mutants: Any                         # its seeded-bug registry
-    config: Callable[..., Any]
-    run: Callable[..., Any]
-    save_replay: Callable[..., None]
-    replay: Callable[[str], Any]
-    describe: Callable[[Any], str]       # the config half of the header
-
-
-def _harnesses() -> Dict[str, _Harness]:
-    """``--algorithm`` name -> harness.  paxos-lease walks schedules of the
-    lease protocol (docs/ordering.md); groups-rendezvous walks per-replica
-    interleavings of the partitions' consensus logs and checks that the
-    merge rule yields one total order (docs/partitioning.md); spec-rollback
-    walks per-replica optimistic delivery orders and checks commit/rollback
-    against a sequential execution of the conservative order
-    (docs/speculation.md)."""
-    from repro.check import groups_rendezvous as groups
-    from repro.check import paxos_lease as lease
-    from repro.check import spec_rollback as spec
-
-    return {
-        "paxos-lease": _Harness(
-            lease.LEASE_MUTANTS, lease.LeaseCheckConfig,
-            lease.run_lease_check, lease.save_lease_replay,
-            lease.replay_lease,
-            lambda c: (f"nodes={c.n_nodes} lease={c.lease_duration}s "
-                       f"margin={c.lease_margin}s skew={c.clock_skew}")),
-        "groups-rendezvous": _Harness(
-            groups.GROUPS_MUTANTS, groups.GroupsCheckConfig,
-            groups.run_groups_check, groups.save_groups_replay,
-            groups.replay_groups,
-            lambda c: (f"groups={c.n_groups} replicas={c.n_replicas} "
-                       f"keys={c.key_space} length={c.schedule_length}")),
-        "spec-rollback": _Harness(
-            spec.SPEC_MUTANTS, spec.SpecCheckConfig,
-            spec.run_spec_check, spec.save_spec_replay, spec.replay_spec,
-            lambda c: (f"replicas={c.n_replicas} keys={c.key_space} "
-                       f"length={c.schedule_length}")),
-    }
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.check import CheckConfig, run_check
-    from repro.check.paxos_lease import replay_harness_kind
-    from repro.check.replay import replay as replay_file
-    from repro.check.replay import save_replay
+    from repro.check import (CheckConfig, protocol_harnesses, replay,
+                             run_check, save_replay)
+    from repro.errors import SimulationError
 
-    harnesses = _harnesses()
     if args.replay:
         try:
-            # Harness replays carry a "harness" key; COS replays
-            # (version-1 format) have none — dispatch on it.
-            harness = harnesses.get(replay_harness_kind(args.replay))
-            if harness is not None:
-                violation = harness.replay(args.replay)
-            else:
-                violation = replay_file(args.replay, max_steps=args.max_steps)
-        except (OSError, ValueError, KeyError) as error:
+            violation = replay(args.replay, max_steps=args.max_steps)
+        except (OSError, ValueError, KeyError, SimulationError) as error:
             print(f"error: cannot replay {args.replay}: {error}",
                   file=sys.stderr)
             return 2
@@ -426,9 +385,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 1
 
     algorithm = args.algorithm.replace("_", "-")
-    for name, harness in harnesses.items():
-        if algorithm == name or args.mutant in harness.mutants:
-            return _cmd_check_harness(args, name, harness)
+    for harness in protocol_harnesses().values():
+        if algorithm == harness.name or args.mutant in harness.mutants:
+            return _cmd_check_harness(args, harness)
 
     config = CheckConfig(
         algorithm=algorithm,
@@ -469,27 +428,28 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_check_harness(args: argparse.Namespace, name: str,
-                       harness: _Harness) -> int:
+def _cmd_check_harness(args: argparse.Namespace, harness) -> int:
     """A protocol-harness branch of ``repro check``: selected by its
     ``--algorithm`` name or by any ``--mutant`` from its registry."""
+    from repro.check import run_walk, save_replay
+
     config = harness.config(mutant=args.mutant)
     try:
-        report = harness.run(
+        report = run_walk(
             config, max_schedules=args.max_schedules, seed=args.seed)
     except ValueError as error:  # unknown mutant
         print(f"error: {error}", file=sys.stderr)
         return 2
     mutant = f" mutant={config.mutant}" if config.mutant else ""
-    print(f"check algorithm={name}{mutant} {harness.describe(config)}")
+    print(f"check algorithm={harness.name}{mutant} {config.describe()}")
     print(report.describe())
     if report.ok:
         return 0
     if report.shrunk_decisions is not None:
         print(f"shrunk counterexample: {len(report.shrunk_decisions)} "
               f"decisions ({report.shrink_candidates} candidates tried)")
-        harness.save_replay(args.replay_out, config, report.shrunk_decisions,
-                            report.violation)
+        save_replay(args.replay_out, config, report.shrunk_decisions,
+                    report.violation)
         print(f"replay file written to {args.replay_out} "
               f"(re-run with: python -m repro check --replay "
               f"{args.replay_out})")

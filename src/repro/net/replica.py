@@ -129,6 +129,11 @@ class ReplicaServer:
         """Graceful teardown: event loops, sockets, then workers."""
         for node in self.nodes:
             node.stop()
+        for node in self.nodes:
+            # A step still in flight sends: let it finish while the
+            # transport is open.
+            if node.running:
+                node.join(timeout=2.0)
         self.transport.close()
         self.replica.stop(timeout=2.0)
         if self._engine is not None:

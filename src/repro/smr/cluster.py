@@ -222,6 +222,10 @@ class ThreadedCluster:
         for transport, nodes in zip(self.transports, self.group_nodes):
             transport.crash(replica_id)
             nodes[replica_id].stop()
+        for nodes in self.group_nodes:
+            # A step in flight finishes first: once this returns the
+            # replica is not running, and may be restarted.
+            nodes[replica_id].join(timeout=2.0)
         replica = self.replicas[replica_id]
         replica.stop(timeout=1.0)
         if self.config.engine == "mp":

@@ -17,19 +17,10 @@ import random
 import pytest
 
 from repro.broadcast.messages import InstallSnapshot, Snapshot
-from repro.check.paxos_lease import (
-    LEASE_MUTANTS,
-    LeaseCheckConfig,
-    LeaseHarness,
-    generate_schedule,
-    load_lease_replay,
-    replay_harness_kind,
-    replay_lease,
-    run_lease_check,
-    run_lease_schedule,
-    save_lease_replay,
-    shrink_lease,
-)
+from repro.check import (ddmin, load_replay, replay, run_schedule, run_walk,
+                         save_replay)
+from repro.check.paxos_lease import (LEASE_MUTANTS, LeaseCheckConfig,
+                                     LeaseHarness, generate_schedule)
 from repro.errors import SimulationError
 
 BUDGET = 400
@@ -37,7 +28,7 @@ BUDGET = 400
 
 def caught_report(seed: int = 0):
     config = LeaseCheckConfig(mutant="lease-ignore-expiry")
-    return config, run_lease_check(config, max_schedules=BUDGET, seed=seed)
+    return config, run_walk(config, max_schedules=BUDGET, seed=seed)
 
 
 class TestMutantCatching:
@@ -51,15 +42,15 @@ class TestMutantCatching:
     def test_catch_is_seed_robust(self):
         for seed in (1, 2, 3):
             config = LeaseCheckConfig(mutant="lease-ignore-expiry")
-            report = run_lease_check(config, max_schedules=BUDGET,
-                                     seed=seed,
-                                     shrink_counterexamples=False)
+            report = run_walk(config, max_schedules=BUDGET,
+                              seed=seed,
+                              shrink_counterexamples=False)
             assert not report.ok, f"mutant escaped under seed {seed}"
 
     def test_unknown_mutant_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown lease mutant"):
-            run_lease_check(LeaseCheckConfig(mutant="nope"),
-                            max_schedules=1)
+        with pytest.raises(ValueError, match="unknown mutant"):
+            run_walk(LeaseCheckConfig(mutant="nope"),
+                     max_schedules=1)
 
 
 class TestCompactionUnderTheWalk:
@@ -83,23 +74,23 @@ class TestCompactionUnderTheWalk:
     def test_promise_below_floor_is_caught_shrunk_and_replayed(
             self, tmp_path):
         config = LeaseCheckConfig(mutant="promise-below-floor")
-        report = run_lease_check(config, max_schedules=BUDGET, seed=0)
+        report = run_walk(config, max_schedules=BUDGET, seed=0)
         assert not report.ok, f"promise-below-floor escaped {BUDGET}"
         assert report.violation.kind == "divergence"
         assert len(report.shrunk_decisions) < len(report.decisions)
         path = str(tmp_path / "floor-ce.json")
-        save_lease_replay(path, config, report.shrunk_decisions,
-                          report.violation)
-        reproduced = replay_lease(path)
+        save_replay(path, config, report.shrunk_decisions,
+                    report.violation)
+        reproduced = replay(path)
         assert (reproduced.kind, reproduced.step) == (
             report.violation.kind, report.violation.step)
         # The same schedule is clean once the floor check is back.
-        assert run_lease_schedule(LeaseCheckConfig(),
-                                  report.shrunk_decisions) is None
+        assert run_schedule(LeaseCheckConfig(),
+                            report.shrunk_decisions) is None
 
     def test_promise_below_floor_catch_is_seed_robust(self):
         for seed in (1, 2, 3):
-            report = run_lease_check(
+            report = run_walk(
                 LeaseCheckConfig(mutant="promise-below-floor"),
                 max_schedules=1000, seed=seed, shrink_counterexamples=False)
             assert not report.ok, f"mutant escaped under seed {seed}"
@@ -118,23 +109,24 @@ class TestShrinking:
         assert report.shrunk_decisions is not None
         assert len(report.shrunk_decisions) < len(report.decisions)
         # The shrunk schedule still violates on its own.
-        violation = run_lease_schedule(config, report.shrunk_decisions)
+        violation = run_schedule(config, report.shrunk_decisions)
         assert violation is not None
 
     def test_shrink_requires_a_violating_schedule(self):
         config = LeaseCheckConfig()
         with pytest.raises(SimulationError):
-            shrink_lease(config, ["tick:0.01"])
+            ddmin(lambda decisions: run_schedule(config, decisions),
+                  ["tick:0.01"])
 
 
 class TestReplay:
     def test_replay_reproduces_the_shrunk_violation(self, tmp_path):
         config, report = caught_report()
         path = str(tmp_path / "lease-ce.json")
-        save_lease_replay(path, config, report.shrunk_decisions,
-                          report.violation)
-        assert replay_harness_kind(path) == "paxos-lease"
-        reproduced = replay_lease(path)
+        save_replay(path, config, report.shrunk_decisions,
+                    report.violation)
+        assert isinstance(load_replay(path)[0], LeaseCheckConfig)
+        reproduced = replay(path)
         assert reproduced is not None
         assert reproduced.kind == report.violation.kind
         assert reproduced.step == report.violation.step
@@ -142,9 +134,9 @@ class TestReplay:
     def test_replay_roundtrips_config_and_decisions(self, tmp_path):
         config, report = caught_report()
         path = str(tmp_path / "lease-ce.json")
-        save_lease_replay(path, config, report.shrunk_decisions,
-                          report.violation)
-        loaded_config, decisions, violation = load_lease_replay(path)
+        save_replay(path, config, report.shrunk_decisions,
+                    report.violation)
+        loaded_config, decisions, violation = load_replay(path)
         assert loaded_config == config
         assert decisions == report.shrunk_decisions
         assert violation.kind == report.violation.kind
@@ -156,9 +148,9 @@ class TestReplay:
         config, report = caught_report()
         fixed = LeaseCheckConfig()
         path = str(tmp_path / "lease-ce.json")
-        save_lease_replay(path, fixed, report.shrunk_decisions,
-                          report.violation)
-        assert replay_lease(path) is None
+        save_replay(path, fixed, report.shrunk_decisions,
+                    report.violation)
+        assert replay(path) is None
 
     def test_cos_replay_files_are_not_claimed(self, tmp_path):
         path = str(tmp_path / "cos-ce.json")
@@ -166,16 +158,14 @@ class TestReplay:
             json.dump({"version": 1, "config": {}, "decisions": [],
                        "violation": {"kind": "double-get", "message": "x",
                                      "step": 1}}, handle)
-        assert replay_harness_kind(path) is None
-        with pytest.raises(SimulationError):
-            load_lease_replay(path)
+        assert not isinstance(load_replay(path)[0], LeaseCheckConfig)
 
 
 class TestHarnessDeterminism:
     def test_schedules_replay_bit_for_bit(self):
         config, report = caught_report()
-        first = run_lease_schedule(config, report.decisions)
-        second = run_lease_schedule(config, report.decisions)
+        first = run_schedule(config, report.decisions)
+        second = run_schedule(config, report.decisions)
         assert (first.kind, first.step) == (second.kind, second.step)
 
     def test_unknown_decisions_are_rejected(self):

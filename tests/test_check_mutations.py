@@ -8,6 +8,8 @@ same violation kind.  The same budget on the *real* implementation stays
 clean, so detection is signal, not noise.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.check import CheckConfig, run_check, run_with_decisions
@@ -96,7 +98,7 @@ def test_mutant_is_caught_and_counterexample_replays(name):
 @pytest.mark.parametrize("name", sorted(MUTANT_CASES))
 def test_same_budget_is_clean_on_the_real_implementation(name):
     config, _ = MUTANT_CASES[name]
-    clean = CheckConfig(**{**config.as_dict(), "mutant": None})
+    clean = dataclasses.replace(config, mutant=None)
     report = run_check(clean, **BUDGET)
     assert report.ok, (
         f"false positive on the real implementation: "

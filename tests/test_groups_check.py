@@ -14,18 +14,11 @@ import json
 
 import pytest
 
-from repro.check.groups_rendezvous import (
-    GROUPS_MUTANTS,
-    GroupsCheckConfig,
-    RendezvousHarness,
-    load_groups_replay,
-    replay_groups,
-    run_groups_check,
-    run_groups_schedule,
-    save_groups_replay,
-    shrink_groups,
-)
-from repro.check.paxos_lease import replay_harness_kind
+from repro.check import (ddmin, load_replay, replay, run_schedule, run_walk,
+                         save_replay)
+from repro.check.groups_rendezvous import (GROUPS_MUTANTS,
+                                           GroupsCheckConfig,
+                                           RendezvousHarness)
 from repro.errors import SimulationError
 
 BUDGET = 200
@@ -33,7 +26,7 @@ BUDGET = 200
 
 def caught_report(seed: int = 0):
     config = GroupsCheckConfig(mutant="groups-skip-hold")
-    return config, run_groups_check(config, max_schedules=BUDGET, seed=seed)
+    return config, run_walk(config, max_schedules=BUDGET, seed=seed)
 
 
 class TestMutantCatching:
@@ -47,20 +40,20 @@ class TestMutantCatching:
     def test_catch_is_seed_robust(self):
         for seed in (1, 2, 3):
             config = GroupsCheckConfig(mutant="groups-skip-hold")
-            report = run_groups_check(config, max_schedules=BUDGET,
-                                      seed=seed,
-                                      shrink_counterexamples=False)
+            report = run_walk(config, max_schedules=BUDGET,
+                              seed=seed,
+                              shrink_counterexamples=False)
             assert not report.ok, f"mutant escaped under seed {seed}"
 
     def test_clean_merger_survives_exploration(self):
         config = GroupsCheckConfig()
-        report = run_groups_check(config, max_schedules=40)
+        report = run_walk(config, max_schedules=40)
         assert report.ok, report.describe()
 
     def test_unknown_mutant_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown groups mutant"):
-            run_groups_check(GroupsCheckConfig(mutant="nope"),
-                             max_schedules=1)
+        with pytest.raises(ValueError, match="unknown mutant"):
+            run_walk(GroupsCheckConfig(mutant="nope"),
+                     max_schedules=1)
 
 
 class TestShrinking:
@@ -69,23 +62,24 @@ class TestShrinking:
         assert report.shrunk_decisions is not None
         assert len(report.shrunk_decisions) < len(report.decisions)
         # The shrunk schedule still violates on its own.
-        violation = run_groups_schedule(config, report.shrunk_decisions)
+        violation = run_schedule(config, report.shrunk_decisions)
         assert violation is not None
 
     def test_shrink_requires_a_violating_schedule(self):
         config = GroupsCheckConfig()
         with pytest.raises(SimulationError):
-            shrink_groups(config, ["sp:0"])
+            ddmin(lambda decisions: run_schedule(config, decisions),
+                  ["sp:0"])
 
 
 class TestReplay:
     def test_replay_reproduces_the_shrunk_violation(self, tmp_path):
         config, report = caught_report()
         path = str(tmp_path / "groups-ce.json")
-        save_groups_replay(path, config, report.shrunk_decisions,
-                           report.violation)
-        assert replay_harness_kind(path) == "groups-rendezvous"
-        reproduced = replay_groups(path)
+        save_replay(path, config, report.shrunk_decisions,
+                    report.violation)
+        assert isinstance(load_replay(path)[0], GroupsCheckConfig)
+        reproduced = replay(path)
         assert reproduced is not None
         assert reproduced.kind == report.violation.kind
         assert reproduced.step == report.violation.step
@@ -93,9 +87,9 @@ class TestReplay:
     def test_replay_roundtrips_config_and_decisions(self, tmp_path):
         config, report = caught_report()
         path = str(tmp_path / "groups-ce.json")
-        save_groups_replay(path, config, report.shrunk_decisions,
-                           report.violation)
-        loaded_config, decisions, violation = load_groups_replay(path)
+        save_replay(path, config, report.shrunk_decisions,
+                    report.violation)
+        loaded_config, decisions, violation = load_replay(path)
         assert loaded_config == config
         assert decisions == report.shrunk_decisions
         assert violation.kind == report.violation.kind
@@ -107,9 +101,9 @@ class TestReplay:
         config, report = caught_report()
         fixed = GroupsCheckConfig()
         path = str(tmp_path / "groups-ce.json")
-        save_groups_replay(path, fixed, report.shrunk_decisions,
-                           report.violation)
-        assert replay_groups(path) is None
+        save_replay(path, fixed, report.shrunk_decisions,
+                    report.violation)
+        assert replay(path) is None
 
     def test_foreign_replay_files_are_not_claimed(self, tmp_path):
         path = str(tmp_path / "cos-ce.json")
@@ -117,16 +111,14 @@ class TestReplay:
             json.dump({"version": 1, "config": {}, "decisions": [],
                        "violation": {"kind": "double-get", "message": "x",
                                      "step": 1}}, handle)
-        assert replay_harness_kind(path) is None
-        with pytest.raises(SimulationError):
-            load_groups_replay(path)
+        assert not isinstance(load_replay(path)[0], GroupsCheckConfig)
 
 
 class TestHarnessDeterminism:
     def test_schedules_replay_bit_for_bit(self):
         config, report = caught_report()
-        first = run_groups_schedule(config, report.decisions)
-        second = run_groups_schedule(config, report.decisions)
+        first = run_schedule(config, report.decisions)
+        second = run_schedule(config, report.decisions)
         assert (first.kind, first.step) == (second.kind, second.step)
 
     def test_out_of_range_decisions_are_deterministic_noops(self):
@@ -134,7 +126,7 @@ class TestHarnessDeterminism:
         # exhausted advances do nothing: any recorded list replays.
         config = GroupsCheckConfig()
         decisions = ["sp:999", "adv:7,9", "adv:0,0", "dup:5", "xp:70-71"]
-        assert run_groups_schedule(config, decisions) is None
+        assert run_schedule(config, decisions) is None
 
     def test_unknown_decisions_are_rejected(self):
         harness = RendezvousHarness(GroupsCheckConfig())

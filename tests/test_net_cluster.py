@@ -160,6 +160,11 @@ class TestLogCompaction:
             client = cluster.client()
             assert client.execute(write(1000)) is True
             cluster.crash(2)
+            # Lossy links: what the peers queue for the dead replica keeps
+            # only its newest frames, so no backlog carries the history
+            # back to instance 0 (a full one replays it without a snapshot).
+            for server in cluster.servers[:2]:
+                server.transport._queue_limit = 16
             for key in range(30):  # one instance each: far past the log
                 client.execute(write(2000 + key))
             # Blank: no checkpoint handed over, as Supervisor.restart does.
@@ -170,7 +175,9 @@ class TestLogCompaction:
             snapshot = wait_snapshots_equal(cluster, required_key=3000)
             assert 1000 in snapshot and 2029 in snapshot
             # State transfer stood in for history: nothing was replayed.
-            assert reborn.node.protocol.snapshots_installed >= 1
+            # The counter is published after the restored state is.
+            assert wait_for(
+                lambda: reborn.node.protocol.snapshots_installed >= 1)
             assert reborn.replica.executed < 10
             assert cluster.servers[0].replica.executed >= 32
 
@@ -206,7 +213,8 @@ class TestLogCompaction:
             deaf.clear()
             thread.join(timeout=15)
             assert answers == [True]
-            assert lagging.node.protocol.snapshots_installed >= 1
+            assert wait_for(
+                lambda: lagging.node.protocol.snapshots_installed >= 1)
             wait_snapshots_equal(cluster, required_key=2019)
             # Caught up without running what the snapshot covers.
             assert lagging.replica.executed - executed < 20
@@ -243,3 +251,34 @@ class TestLogCompaction:
                 done.set()
                 sampler.join(timeout=5)
             assert deepest[0] <= INBOX_LIMIT
+
+
+class TestShutdown:
+    def test_a_timer_step_in_flight_at_stop_does_not_kill_the_node(
+            self, monkeypatch):
+        """``stop()`` lands while the leader's node thread is about to fire
+        its due timers (held open by a delay).  The node must neither fire
+        them after stopping nor send into a closed transport: before the
+        fix the heartbeat went to ``transport.send`` after ``close()`` and
+        the node thread died with ``ShutdownError``."""
+        died = []
+        monkeypatch.setattr(threading, "excepthook", died.append)
+        with TcpCluster(n_replicas=3, protocol="paxos") as cluster:
+            assert cluster.client().execute(write(700)) is True
+            leader = next(server for server in cluster.servers
+                          if server.node.protocol.is_leader)
+            node = leader.node
+            fire_due_timers = node._fire_due_timers
+            firing = threading.Event()
+
+            def late_fire():
+                firing.set()
+                time.sleep(0.3)  # stop() runs inside this window
+                fire_due_timers()
+
+            node._fire_due_timers = late_fire
+            assert firing.wait(timeout=5)
+            leader.stop()
+            node.join(timeout=5)
+            assert not node.running
+        assert not died, [hook.exc_value for hook in died]

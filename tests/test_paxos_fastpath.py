@@ -35,7 +35,7 @@ from repro.broadcast import (
     SetTimer,
 )
 from repro.broadcast.paxos import HEARTBEAT_TIMER, LINGER_TIMER
-from repro.check.paxos_lease import LeaseCheckConfig, run_lease_check
+from repro.check import LeaseCheckConfig, run_walk
 
 
 def sends(actions, msg_type=None):
@@ -361,14 +361,14 @@ class TestLeaseHarnessCleanSweep:
         # The lease-overlap / stale-read / divergence oracles must stay
         # silent on the real implementation (the lease-ignore-expiry
         # mutant run lives in tests/test_check_lease.py).
-        report = run_lease_check(LeaseCheckConfig(), max_schedules=150,
-                                 seed=11, shrink_counterexamples=False)
+        report = run_walk(LeaseCheckConfig(), max_schedules=150,
+                          seed=11, shrink_counterexamples=False)
         assert report.ok, report.describe()
 
     def test_no_violation_with_linger_and_per_instance_acks(self):
         config = LeaseCheckConfig(propose_linger=0.005,
                                   cumulative_acks=False,
                                   schedule_length=200)
-        report = run_lease_check(config, max_schedules=100, seed=12,
-                                 shrink_counterexamples=False)
+        report = run_walk(config, max_schedules=100, seed=12,
+                          shrink_counterexamples=False)
         assert report.ok, report.describe()

@@ -1,5 +1,6 @@
 """Tests for checkpointing, stable storage, and replica recovery."""
 
+import threading
 import time
 
 import pytest
@@ -214,6 +215,31 @@ class TestClusterRecovery:
             cluster.crash(1)
             cluster.restart_replica(1)
             assert wait_for(lambda: cluster.nodes[1].running)
+            assert client.execute(
+                Command("contains", (55,), writes=False)) is True
+
+    def test_restart_right_after_crash_finds_the_node_stopped(self):
+        """``crash`` lands while replica 1's node thread is mid-step (held
+        there by a delay); it must return only once that thread is gone,
+        so the restart straight after it is not refused as "still
+        running"."""
+        with ThreadedCluster(self._config()) as cluster:
+            client = cluster.client()
+            client.execute(Command("add", (55,), writes=True))
+            node = cluster.nodes[1]
+            fire_due_timers = node._fire_due_timers
+            firing = threading.Event()
+
+            def late_fire():
+                firing.set()
+                time.sleep(0.3)  # crash() runs inside this window
+                fire_due_timers()
+
+            node._fire_due_timers = late_fire
+            assert firing.wait(timeout=5)
+            cluster.crash(1)
+            assert not node.running
+            cluster.restart_replica(1)
             assert client.execute(
                 Command("contains", (55,), writes=False)) is True
 

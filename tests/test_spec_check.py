@@ -14,19 +14,11 @@ import json
 
 import pytest
 
-from repro.check.paxos_lease import replay_harness_kind
-from repro.check.spec_rollback import (
-    SPEC_MUTANTS,
-    SpecCheckConfig,
-    SpecRollbackHarness,
-    generate_schedule,
-    load_spec_replay,
-    replay_spec,
-    run_spec_check,
-    run_spec_schedule,
-    save_spec_replay,
-    shrink_spec,
-)
+from repro.check import (ddmin, load_replay, replay, run_schedule, run_walk,
+                         save_replay)
+from repro.check.spec_rollback import (SPEC_MUTANTS, SpecCheckConfig,
+                                       SpecRollbackHarness,
+                                       generate_schedule)
 from repro.errors import SimulationError
 
 BUDGET = 120
@@ -34,7 +26,7 @@ BUDGET = 120
 
 def caught_report(seed: int = 0):
     config = SpecCheckConfig(mutant="spec-skip-undo")
-    return config, run_spec_check(config, max_schedules=BUDGET, seed=seed)
+    return config, run_walk(config, max_schedules=BUDGET, seed=seed)
 
 
 class TestMutantCatching:
@@ -48,19 +40,19 @@ class TestMutantCatching:
     def test_catch_is_seed_robust(self):
         for seed in (1, 2, 3):
             config = SpecCheckConfig(mutant="spec-skip-undo")
-            report = run_spec_check(config, max_schedules=BUDGET,
-                                    seed=seed,
-                                    shrink_counterexamples=False)
+            report = run_walk(config, max_schedules=BUDGET,
+                              seed=seed,
+                              shrink_counterexamples=False)
             assert not report.ok, f"mutant escaped under seed {seed}"
 
     def test_clean_engine_survives_exploration(self):
         config = SpecCheckConfig()
-        report = run_spec_check(config, max_schedules=40)
+        report = run_walk(config, max_schedules=40)
         assert report.ok, report.describe()
 
     def test_unknown_mutant_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown spec mutant"):
-            run_spec_check(SpecCheckConfig(mutant="nope"), max_schedules=1)
+        with pytest.raises(ValueError, match="unknown mutant"):
+            run_walk(SpecCheckConfig(mutant="nope"), max_schedules=1)
 
 
 class TestShrinking:
@@ -69,23 +61,24 @@ class TestShrinking:
         assert report.shrunk_decisions is not None
         assert len(report.shrunk_decisions) < len(report.decisions)
         # The shrunk schedule still violates on its own.
-        violation = run_spec_schedule(config, report.shrunk_decisions)
+        violation = run_schedule(config, report.shrunk_decisions)
         assert violation is not None
 
     def test_shrink_requires_a_violating_schedule(self):
         config = SpecCheckConfig()
         with pytest.raises(SimulationError):
-            shrink_spec(config, ["put:0-0"])
+            ddmin(lambda decisions: run_schedule(config, decisions),
+                  ["put:0-0"])
 
 
 class TestReplay:
     def test_replay_reproduces_the_shrunk_violation(self, tmp_path):
         config, report = caught_report()
         path = str(tmp_path / "spec-ce.json")
-        save_spec_replay(path, config, report.shrunk_decisions,
-                         report.violation)
-        assert replay_harness_kind(path) == "spec-rollback"
-        reproduced = replay_spec(path)
+        save_replay(path, config, report.shrunk_decisions,
+                    report.violation)
+        assert isinstance(load_replay(path)[0], SpecCheckConfig)
+        reproduced = replay(path)
         assert reproduced is not None
         assert reproduced.kind == report.violation.kind
         assert reproduced.step == report.violation.step
@@ -93,9 +86,9 @@ class TestReplay:
     def test_replay_roundtrips_config_and_decisions(self, tmp_path):
         config, report = caught_report()
         path = str(tmp_path / "spec-ce.json")
-        save_spec_replay(path, config, report.shrunk_decisions,
-                         report.violation)
-        loaded_config, decisions, violation = load_spec_replay(path)
+        save_replay(path, config, report.shrunk_decisions,
+                    report.violation)
+        loaded_config, decisions, violation = load_replay(path)
         assert loaded_config == config
         assert decisions == report.shrunk_decisions
         assert violation.kind == report.violation.kind
@@ -107,9 +100,9 @@ class TestReplay:
         config, report = caught_report()
         fixed = SpecCheckConfig()
         path = str(tmp_path / "spec-ce.json")
-        save_spec_replay(path, fixed, report.shrunk_decisions,
-                         report.violation)
-        assert replay_spec(path) is None
+        save_replay(path, fixed, report.shrunk_decisions,
+                    report.violation)
+        assert replay(path) is None
 
     def test_foreign_replay_files_are_not_claimed(self, tmp_path):
         path = str(tmp_path / "cos-ce.json")
@@ -117,16 +110,14 @@ class TestReplay:
             json.dump({"version": 1, "config": {}, "decisions": [],
                        "violation": {"kind": "double-get", "message": "x",
                                      "step": 1}}, handle)
-        assert replay_harness_kind(path) is None
-        with pytest.raises(SimulationError):
-            load_spec_replay(path)
+        assert not isinstance(load_replay(path)[0], SpecCheckConfig)
 
 
 class TestHarnessDeterminism:
     def test_schedules_replay_bit_for_bit(self):
         config, report = caught_report()
-        first = run_spec_schedule(config, report.decisions)
-        second = run_spec_schedule(config, report.decisions)
+        first = run_schedule(config, report.decisions)
+        second = run_schedule(config, report.decisions)
         assert (first.kind, first.step) == (second.kind, second.step)
 
     def test_generated_schedules_are_seed_deterministic(self):
@@ -143,7 +134,7 @@ class TestHarnessDeterminism:
         config = SpecCheckConfig()
         decisions = ["adv:7", "opt:5,9", "dup:1,3", "ord:4",
                      "put:999-999", "cas:8-7-6", "get:12", "adv:0"]
-        assert run_spec_schedule(config, decisions) is None
+        assert run_schedule(config, decisions) is None
 
     def test_unknown_decisions_are_rejected(self):
         harness = SpecRollbackHarness(SpecCheckConfig())
@@ -173,7 +164,7 @@ class TestOracles:
             "adv:0", "adv:0",       # replica 0 confirms: rollback path
             "adv:1", "adv:1",       # replica 1 never speculated
         ]
-        assert run_spec_schedule(SpecCheckConfig(), decisions) is None
+        assert run_schedule(SpecCheckConfig(), decisions) is None
 
     def test_skip_undo_fails_the_same_schedule(self):
         decisions = [
@@ -183,7 +174,7 @@ class TestOracles:
             "ord:1", "ord:0",
             "adv:0", "adv:0",
         ]
-        violation = run_spec_schedule(
-            SpecCheckConfig(mutant="spec-skip-undo"), decisions)
+        violation = run_schedule(
+                                 SpecCheckConfig(mutant="spec-skip-undo"), decisions)
         assert violation is not None
         assert violation.kind in ("response-divergence", "state-divergence")
