@@ -23,8 +23,9 @@ Layers:
 - :mod:`repro.net.cluster` — :class:`TcpCluster`: an in-process *loopback*
   cluster (real sockets, one process) mirroring ``ThreadedCluster``'s API
   for tests.
-- :mod:`repro.net.supervisor` — :class:`Supervisor`: spawns one OS process
-  per replica and manages crash/restart.
+- :mod:`repro.net.supervisor` — :class:`Supervisor`: runs one OS process
+  per replica, forked by one fork server (:mod:`repro.net.forkserver`),
+  and manages crash/restart.
 - :mod:`repro.net.bench` — loopback throughput/latency benchmark writing a
   JSON artifact (``python -m repro net bench``).
 """

@@ -2,8 +2,9 @@
 
 Subcommands:
 
-- ``replica --id I --config FILE`` — run one replica process (the unit the
-  supervisor spawns); blocks until SIGTERM/SIGINT.  A config with
+- ``replica --id I --config FILE`` — run one replica process, e.g. under
+  systemd or k8s (the supervisor forks the same code from its fork server,
+  :mod:`repro.net.forkserver`); blocks until SIGTERM/SIGINT.  A config with
   ``n_groups > 1`` hosts one protocol node per consensus group
   (docs/partitioning.md).
 - ``supervise --replicas N [--groups G] [...]`` — spawn a local
@@ -25,9 +26,7 @@ and figure stacks (tests/test_import_budget.py holds the line).
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
-import threading
 import time
 from typing import List, Optional
 
@@ -123,35 +122,17 @@ def _add_subcommands(net: argparse.ArgumentParser) -> None:
                        help="span log path (JSONL) when --trace is on")
 
 
-def _wait_for_signal() -> None:
-    stop = threading.Event()
-
-    def _handler(signum, frame):  # noqa: ANN001 - signal signature
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _handler)
-    signal.signal(signal.SIGINT, _handler)
-    while not stop.is_set():
-        stop.wait(0.5)
-
-
 def _cmd_replica(args: argparse.Namespace) -> int:
-    from repro.net.replica import ReplicaServer
+    from repro.net.replica import run_replica
 
     config = _load_config(args.config)
     if config is None:
         return 2
-    server = ReplicaServer(args.replica_id, config).start()
-    host, port = config.addresses[args.replica_id]
-    print(f"replica {args.replica_id} listening on {host}:{port}", flush=True)
-    try:
-        _wait_for_signal()
-    finally:
-        server.stop()
-    return 0
+    return run_replica(args.replica_id, config)
 
 
 def _cmd_supervise(args: argparse.Namespace) -> int:
+    from repro.net.replica import wait_for_signal
     from repro.net.supervisor import Supervisor
 
     config = _loopback_from_args(args, metrics=args.metrics)
@@ -169,7 +150,7 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
         print("run a workload with: python -m repro net client "
               f"--config {args.config_out}"
               + (" --cross 0.1" if config.n_groups > 1 else ""), flush=True)
-        _wait_for_signal()
+        wait_for_signal()
     return 0
 
 

@@ -12,7 +12,7 @@ import contextlib
 import os
 import socket
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.codec import WIRE_NAMES

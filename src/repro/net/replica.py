@@ -22,12 +22,15 @@ replica's response callback sends a
 replica answers every command it executes (first response wins at the
 client), matching the paper's crash-model deployment.
 
-Run one as a process with ``python -m repro net replica`` (see
-:mod:`repro.net.cli`), or in-process via :class:`repro.net.cluster.TcpCluster`.
+:func:`run_replica` is the whole life of a replica process: ``python -m
+repro net replica`` (:mod:`repro.net.cli`) calls it, and so does every
+replica the supervisor's fork server (:mod:`repro.net.forkserver`) forks.
+In-process, :class:`repro.net.cluster.TcpCluster` runs servers directly.
 """
 
 from __future__ import annotations
 
+import signal
 import threading
 from typing import Any, Dict, List, Optional
 
@@ -43,7 +46,7 @@ from repro.smr.service import Service
 from repro.smr.stack import (build_execution, build_nodes,
                              install_checkpoint, route)
 
-__all__ = ["ReplicaServer"]
+__all__ = ["ReplicaServer", "run_replica", "wait_for_signal"]
 
 
 class ReplicaServer:
@@ -222,3 +225,29 @@ class ReplicaServer:
                 ClientResponse(command, response, self.replica_id))
         except ShutdownError:
             pass
+
+
+def wait_for_signal() -> None:
+    """Block until this process receives SIGTERM or SIGINT."""
+    stop = threading.Event()
+
+    def _handler(signum, frame):  # noqa: ANN001 - signal signature
+        stop.set()
+
+    signal.signal(signal.SIGTERM, _handler)
+    signal.signal(signal.SIGINT, _handler)
+    while not stop.is_set():
+        stop.wait(0.5)
+
+
+def run_replica(replica_id: int, config: NetConfig) -> int:
+    """Serve replica ``replica_id`` of ``config`` until SIGTERM/SIGINT,
+    then stop it; the exit status of its process."""
+    server = ReplicaServer(replica_id, config).start()
+    host, port = config.addresses[replica_id]
+    print(f"replica {replica_id} listening on {host}:{port}", flush=True)
+    try:
+        wait_for_signal()
+    finally:
+        server.stop()
+    return 0

@@ -81,8 +81,12 @@ Each test fails against the pre-fix code:
   still bound (``free_ports``);
 - **ProcessGroup log-handle leak** (net/supervisor.py): every restart of
   a member opened a fresh ``replica-N.log`` handle and kept the old one
-  open until ``stop()``; handles are keyed by replica id and the
-  predecessor is closed.
+  open until ``stop()``.  Replicas are forked by the fork server now
+  (net/forkserver.py), which opens the log for each fork and closes its
+  own copy right after it, so the replica holds the only handle;
+- **free_ports annotation** (net/config.py): ``-> List[int]`` named a
+  ``List`` the module never imported, so ``typing.get_type_hints``
+  raised ``NameError``.
 """
 
 from __future__ import annotations
@@ -1336,6 +1340,13 @@ class TestLoopbackPortsAreDistinct:
         assert len(set(free_ports(32))) == 32
         assert isinstance(free_port(), int)   # still exported (benchmark)
 
+    def test_free_ports_annotations_resolve(self):
+        import typing
+
+        from repro.net.config import free_ports
+
+        assert typing.get_type_hints(free_ports)["return"] == typing.List[int]
+
 
 # --------------------------------------------------------------------------
 # ProcessGroup: one open log handle per member, however often it restarts.
@@ -1343,50 +1354,51 @@ class TestLoopbackPortsAreDistinct:
 
 
 class TestProcessGroupLogHandles:
+    """The fork server opens a member's log for the fork and closes its
+    copy at once: the replica holds the only handle, whoever restarts it
+    how often.  Counted over every process of the deployment, the test
+    needs no fake: a restart is a 5-10 ms fork of the warm server."""
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="counts handles through /proc/self/fd")
-    def test_three_restarts_leave_one_open_handle(self, monkeypatch,
-                                                  tmp_path):
+                        reason="counts handles through /proc/<pid>/fd")
+    def test_three_restarts_leave_one_open_handle(self, tmp_path):
         import os
 
-        from repro.net import supervisor
         from repro.net.config import loopback_config
+        from repro.net.supervisor import Supervisor
 
-        class _ExitedProcess:
-            pid = 4242
-            returncode = 0
-
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def poll(self):
-                return 0        # crashed already: restart() may re-spawn
-
-            def wait(self, timeout=None):
-                return 0
-
-        monkeypatch.setattr(supervisor.subprocess, "Popen", _ExitedProcess)
-        monkeypatch.setattr(supervisor, "_port_open", lambda *a, **k: True)
-
-        def open_handles(name):
+        def holders(name, pids):
+            """The processes among ``pids`` with ``name`` open."""
             target = str(tmp_path / name)
-            count = 0
-            for fd in os.listdir("/proc/self/fd"):
+            found = set()
+            for pid in pids:
                 try:
-                    count += os.readlink(f"/proc/self/fd/{fd}") == target
+                    fds = os.listdir(f"/proc/{pid}/fd")
                 except OSError:
-                    pass    # the listing's own fd is gone by now
-            return count
+                    continue    # gone
+                for fd in fds:
+                    try:
+                        if os.readlink(f"/proc/{pid}/fd/{fd}") == target:
+                            found.add(pid)
+                    except OSError:
+                        pass    # closed since the listing
+            return found
 
-        group = supervisor.ProcessGroup(
-            "replicas", loopback_config(3), "unused.json", [0, 1],
-            log_dir=str(tmp_path))
-        group.spawn()
-        for _ in range(3):
-            group.restart(0)
-        assert open_handles("replica-0.log") == 1
-        assert open_handles("replica-1.log") == 1
-        group.stop()
-        assert open_handles("replica-0.log") == 0
-        assert open_handles("replica-1.log") == 0
+        supervisor = Supervisor(loopback_config(3), log_dir=str(tmp_path))
+        supervisor.start()
+        try:
+            group = supervisor.group("replicas")
+            group.wait_ready()
+            for _ in range(3):
+                group.kill(0)
+                group.restart(0)
+            pids = group.pids()
+            with open(f"/proc/{pids[0]}/stat") as stat:
+                fork_server = int(stat.read().rsplit(")", 1)[1].split()[1])
+            everyone = [fork_server, os.getpid(), *pids.values()]
+            for member, pid in pids.items():
+                assert holders(f"replica-{member}.log", everyone) == {pid}
+        finally:
+            supervisor.stop()
+        for member in pids:
+            assert holders(f"replica-{member}.log", everyone) == set()
