@@ -24,8 +24,8 @@ sys.path.insert(0, os.path.dirname(__file__))  # conftest when run directly
 
 from conftest import emit
 
-from repro.bench import FigureData, run_benchmark
-from repro.par.bench import MpBenchConfig
+from repro.bench import FigureData
+from repro.par.bench import MpBenchConfig, run_mp_bench
 
 SMOKE = bool(int(os.environ.get("REPRO_BENCH_SMOKE", "0")))
 FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
@@ -61,7 +61,7 @@ def _point(label: str, engine: str, workers: int, dispatch_batch) -> dict:
         measure_ops=MEASURE_OPS,
         dispatch_batch=dispatch_batch,
     )
-    result = run_benchmark("mp", config)
+    result = run_mp_bench(config)
     return {
         "series": label,
         "engine": engine,

@@ -66,7 +66,7 @@ def main() -> None:
             thread.join(timeout=30.0)
         time.sleep(0.4)  # drain
 
-        survivors = [cluster.replicas[i].service for i in (0, 1)]
+        survivors = [cluster.stacks[i].service for i in (0, 1)]
         totals = [service.total_money() for service in survivors]
         snapshots = [service.snapshot() for service in survivors]
         print(f"surviving replica totals: {totals}")

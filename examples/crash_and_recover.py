@@ -68,7 +68,7 @@ def main() -> None:
         agree = snapshots[0] == snapshots[1] == snapshots[2]
         print(f"total writes: {len(written)}; replicas converged: {agree}")
         print(f"recovered replica holds {len(snapshots[2])} keys "
-              f"(executed {cluster.replicas[2].executed} commands "
+              f"(executed {cluster.stacks[2].replica.executed} commands "
               f"after rejoin)")
         if not agree:
             raise SystemExit("replica divergence after recovery — a bug")

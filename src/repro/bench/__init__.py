@@ -21,21 +21,18 @@ from repro.bench.figures import (
 )
 from repro.bench.artifact import (bench_environment, figure_payload,
                                   write_bench_json)
-from repro.bench.harness import (BENCH_BACKENDS, StandaloneConfig,
-                                 StandaloneResult, run_benchmark,
+from repro.bench.harness import (StandaloneConfig, StandaloneResult,
                                  run_standalone)
 from repro.bench.export import figure_to_csv, write_figure_csv
 from repro.bench.plot import plot_figure, plot_panel
 from repro.bench.report import format_figure, print_figure
 
 __all__ = [
-    "BENCH_BACKENDS",
     "bench_environment",
     "figure_payload",
     "write_bench_json",
     "StandaloneConfig",
     "StandaloneResult",
-    "run_benchmark",
     "run_standalone",
     "FigureData",
     "figure2",

@@ -33,8 +33,7 @@ from repro.sim import (
 )
 from repro.workload import WorkloadGenerator
 
-__all__ = ["StandaloneConfig", "StandaloneResult", "run_standalone",
-           "run_benchmark", "BENCH_BACKENDS"]
+__all__ = ["StandaloneConfig", "StandaloneResult", "run_standalone"]
 
 
 @dataclass(frozen=True)
@@ -75,37 +74,6 @@ class StandaloneResult:
     def kops(self) -> float:
         """Throughput in kops/sec, the paper's unit."""
         return self.throughput / 1e3
-
-
-#: Benchmark backends: simulator (the paper's figures), the real TCP
-#: process deployment (repro.net.bench), and the multiprocess execution
-#: engine (repro.par.bench).  Names are what ``run_benchmark`` dispatches
-#: on; callables are imported lazily to keep sim-only runs light.
-BENCH_BACKENDS = ("sim", "tcp", "mp")
-
-
-def run_benchmark(backend: str, config):
-    """Dispatch one benchmark run to a named backend.
-
-    ``"sim"`` takes a :class:`StandaloneConfig` and runs on the
-    discrete-event simulator; ``"tcp"`` takes a
-    :class:`repro.net.bench.NetBenchConfig` and measures a real loopback
-    multi-process cluster; ``"mp"`` takes a
-    :class:`repro.par.bench.MpBenchConfig` and measures one replica on the
-    shard-per-process engine against a wall clock.
-    """
-    if backend == "sim":
-        return run_standalone(config)
-    if backend == "tcp":
-        from repro.net.bench import run_net_bench
-
-        return run_net_bench(config)
-    if backend == "mp":
-        from repro.par.bench import run_mp_bench
-
-        return run_mp_bench(config)
-    raise ValueError(
-        f"unknown benchmark backend {backend!r}; choose from {BENCH_BACKENDS}")
 
 
 def run_standalone(config: StandaloneConfig,

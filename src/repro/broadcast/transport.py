@@ -133,19 +133,15 @@ class ThreadedTransport:
         return self._inboxes[node_id]
 
     def crash(self, node_id: int) -> None:
-        """Drop all traffic to and from ``node_id`` (crash-stop model)."""
+        """Drop all traffic to and from ``node_id`` (crash-stop model), and
+        what is queued for it: a node rebuilt in its place starts from a
+        fresh inbox, not from stale pre-crash messages or the old event
+        loop's stop sentinel."""
         self._crashed.add(node_id)
+        self._inboxes[node_id] = queue.Queue()
 
     def recover(self, node_id: int) -> None:
         self._crashed.discard(node_id)
-
-    def reset_inbox(self, node_id: int) -> None:
-        """Replace a node's inbox with a fresh queue.
-
-        Used when a crashed node is rebuilt: the old queue may hold stale
-        pre-crash messages or the old event loop's stop sentinel.
-        """
-        self._inboxes[node_id] = queue.Queue()
 
     def is_crashed(self, node_id: int) -> bool:
         return node_id in self._crashed

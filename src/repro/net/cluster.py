@@ -23,12 +23,11 @@ import itertools
 import time
 from typing import Any, List, Optional
 
-from repro.errors import ShutdownError
 from repro.net.client import NetClient
 from repro.net.config import NetConfig, loopback_config
 from repro.net.replica import ReplicaServer
 from repro.smr.service import Service
-from repro.smr.stack import recovery_peer
+from repro.smr.stack import restart_replica
 
 __all__ = ["TcpCluster"]
 
@@ -44,14 +43,10 @@ class TcpCluster:
         ]
         self._clients: List[NetClient] = []
         self._client_counter = itertools.count(1)
-        self._started = False
 
     # -------------------------------------------------------------- lifecycle
 
     def start(self) -> "TcpCluster":
-        if self._started:
-            raise ShutdownError("cluster already started")
-        self._started = True
         for server in self.servers:
             server.start()
         return self
@@ -82,31 +77,25 @@ class TcpCluster:
     # ------------------------------------------------------------------ faults
 
     def crash(self, replica_id: int) -> None:
-        """Crash-stop one replica: close its sockets, node, and workers."""
+        """Crash-stop one replica.  In one process that is its stop: its
+        peers see its sockets close either way."""
         self.servers[replica_id].stop()
 
     def restart_replica(self, replica_id: int,
                         from_peer: Optional[int] = None) -> None:
-        """Rebuild a crashed replica from a live peer's checkpoint.
+        """Rebuild a crashed replica from a live peer's checkpoint
+        (:func:`repro.smr.stack.restart_replica`), on the same endpoint.
 
-        Same protocol as ``ThreadedCluster.restart_replica``: the peer
-        quiesces for a consistent cut, the rebuilt replica installs it,
-        rebinds the same endpoint, and rejoins at ``instance + 1``;
-        heartbeat anti-entropy pulls anything decided since.  Peers'
-        transports redial the endpoint automatically (reconnect backoff).
-        Single-group only (``ReplicaServer`` rejects a checkpoint with
-        ``n_groups > 1``); grouped replicas recover via protocol catch-up —
-        kill/restart a process deployment instead.  (A single-group Paxos
-        replica started blank converges too: its peers send the checkpoint
-        in-band once it asks below their log floor.)
+        Peers' transports redial the endpoint automatically (reconnect
+        backoff).  Single-group only; grouped replicas recover via protocol
+        catch-up — kill/restart a process deployment instead.  (A
+        single-group Paxos replica started blank converges too: its peers
+        send the checkpoint in-band once it asks below their log floor.)
         """
-        from_peer = recovery_peer(
-            [server.running for server in self.servers], replica_id,
-            from_peer)
-        checkpoint = self.servers[from_peer].replica.take_checkpoint()
-        server = ReplicaServer(replica_id, self.config, checkpoint=checkpoint)
-        self.servers[replica_id] = server
-        server.start()
+        self.servers[replica_id] = restart_replica(
+            self.servers, replica_id, from_peer,
+            lambda cut: ReplicaServer(replica_id, self.config,
+                                      checkpoint=cut))
 
     # --------------------------------------------------------------- helpers
 

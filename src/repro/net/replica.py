@@ -1,11 +1,10 @@
 """One replica bound to a TCP endpoint.
 
-:class:`ReplicaServer` assembles exactly the stages
-:class:`~repro.smr.cluster.ThreadedCluster` wires per replica — ordering
-node(s), an optional merge stage, an execution stage, all built by
-:mod:`repro.smr.stack` — but over a :class:`~repro.net.transport
-.TcpTransport`.  The protocol and replica code run unchanged; only the
-driver differs.
+:class:`ReplicaServer` runs the :class:`~repro.smr.stack.ReplicaStack`
+:class:`~repro.smr.cluster.ThreadedCluster` runs per replica — ordering
+node(s), an optional merge stage, an execution stage, and their one
+lifecycle — over a :class:`~repro.net.transport.TcpTransport`.  The
+protocol and replica code run unchanged; only the endpoint differs.
 
 With ``config.n_groups > 1`` the process hosts one protocol node per
 consensus group behind its single endpoint: every protocol message
@@ -43,14 +42,14 @@ from repro.net.transport import GroupChannel, TcpTransport
 from repro.obs import MetricsHTTPServer, MetricsRegistry
 from repro.smr.checkpoint import Checkpoint
 from repro.smr.service import Service
-from repro.smr.stack import (build_execution, build_nodes,
-                             install_checkpoint, route)
+from repro.smr.stack import ReplicaStack, route
 
 __all__ = ["ReplicaServer", "run_replica", "wait_for_signal"]
 
 
 class ReplicaServer:
-    """Protocol node(s) + execution stage listening on a TCP endpoint."""
+    """A :class:`~repro.smr.stack.ReplicaStack` listening on a TCP
+    endpoint, with its client path and ``/metrics`` server."""
 
     def __init__(self, replica_id: int, config: NetConfig,
                  checkpoint: Optional[Checkpoint] = None):
@@ -66,14 +65,6 @@ class ReplicaServer:
         # replica engine, and transport (docs/observability.md).
         self.registry = MetricsRegistry(trace=config.trace)
         self._metrics_server: Optional[MetricsHTTPServer] = None
-        self.replica = build_execution(
-            config, replica_id, on_response=self._respond,
-            registry=self.registry)
-        self.service: Service = self.replica.service
-        #: The MpService under ``engine="mp"`` (it needs lifecycle calls
-        #: the Service interface doesn't have).
-        self._engine = self.service if config.engine == "mp" else None
-        first_instance = install_checkpoint(config, self.replica, checkpoint)
         self.transport = TcpTransport(
             replica_id,
             config.address_map(),
@@ -89,18 +80,21 @@ class ReplicaServer:
         if grouped:
             self._channels = [GroupChannel(self.transport, group)
                               for group in range(config.n_groups)]
-        #: nodes[group]; ``merge`` is None at one group.
-        self.nodes, self.merge = build_nodes(
-            config, replica_id, self.replica,
-            self._channels or [self.transport], name="net-node",
-            first_instance=first_instance, registry=self.registry,
+        self.stack = ReplicaStack(
+            config, replica_id, self.transport,
+            self._channels or [self.transport],
+            on_response=self._respond, name="net-node",
+            checkpoint=checkpoint, registry=self.registry,
             on_install=self._reanswer)
-        #: Routes client batches to groups; None at one group.
-        self.partition_map = self.merge.partition_map if grouped else None
+        # Views of the stack.
+        self.replica = self.stack.replica
+        self.service: Service = self.stack.service
+        self.nodes = self.stack.nodes
+        self.merge = self.stack.merge
+        self.partition_map = self.stack.partition_map
         # client_id -> transport node id of the client's response endpoint.
         self._reply_to: Dict[str, int] = {}
         self._reply_lock = threading.Lock()
-        self._started = False
 
     @property
     def node(self) -> ThreadedNode:
@@ -110,37 +104,16 @@ class ReplicaServer:
     # -------------------------------------------------------------- lifecycle
 
     def start(self) -> "ReplicaServer":
-        if self._started:
-            raise ShutdownError("replica server already started")
-        self._started = True
-        # The engine forks first: shard processes should not inherit live
-        # sockets or transport threads.  Starting it also installs any
-        # checkpoint stashed by install_checkpoint.
-        if self._engine is not None:
-            self._engine.start()
-        self.transport.start()
+        self.stack.start()
         if self.config.metrics_addresses:
             host, port = self.config.metrics_addresses[self.replica_id]
             self._metrics_server = MetricsHTTPServer(
                 self.registry, host=host, port=port).start()
-        self.replica.start()
-        for node in self.nodes:
-            node.start()
         return self
 
     def stop(self) -> None:
-        """Graceful teardown: event loops, sockets, then workers."""
-        for node in self.nodes:
-            node.stop()
-        for node in self.nodes:
-            # A step still in flight sends: let it finish while the
-            # transport is open.
-            if node.running:
-                node.join(timeout=2.0)
-        self.transport.close()
-        self.replica.stop(timeout=2.0)
-        if self._engine is not None:
-            self._engine.stop()
+        """Graceful teardown: the stack, then the ``/metrics`` server."""
+        self.stack.stop()
         if self._metrics_server is not None:
             self._metrics_server.stop()
             self._metrics_server = None
@@ -153,7 +126,7 @@ class ReplicaServer:
 
     @property
     def running(self) -> bool:
-        return self._started and all(node.running for node in self.nodes)
+        return self.stack.running
 
     @property
     def metrics_address(self) -> Optional[Any]:

@@ -19,19 +19,17 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.broadcast import FaultPlan, ThreadedNode, ThreadedTransport
 from repro.broadcast.storage import InMemoryStableStore
 from repro.core.command import Command
 from repro.errors import ConfigurationError, ShutdownError
-from repro.groups.stage import MergeStage
+from repro.smr.checkpoint import Checkpoint
 from repro.smr.client import Client
 from repro.smr.deployment import DeploymentSpec
-from repro.smr.replica import ParallelReplica
 from repro.smr.service import Service
-from repro.smr.stack import (build_execution, build_nodes,
-                             install_checkpoint, recovery_peer, route)
+from repro.smr.stack import ReplicaStack, restart_replica, route
 
 __all__ = ["ClusterConfig", "ThreadedCluster"]
 
@@ -61,12 +59,30 @@ class ClusterConfig(DeploymentSpec):
 
     def validate(self) -> None:
         super().validate()
-        if self.engine == "mp" and self.service_factory is not None:
+        if self.service_factory is not None and self.engine != "threaded":
             raise ConfigurationError(
                 "engine='mp' builds the service from its service name: shard "
                 "worker processes rebuild it from (service, service_kwargs), "
                 "a live service_factory instance cannot cross process "
                 "boundaries")
+
+
+class _Endpoint:
+    """One replica's end of the cluster's shared in-memory transports: it
+    opens by being readmitted to every group's transport and closes by
+    being cut off from all of them, as a crash is."""
+
+    def __init__(self, transports: List[ThreadedTransport], replica_id: int):
+        self._transports = transports
+        self._replica_id = replica_id
+
+    def start(self) -> None:
+        for transport in self._transports:
+            transport.recover(self._replica_id)
+
+    def close(self) -> None:
+        for transport in self._transports:
+            transport.crash(self._replica_id)
 
 
 class ThreadedCluster:
@@ -85,87 +101,40 @@ class ThreadedCluster:
         self._clients: Dict[str, Client] = {}
         self._clients_lock = threading.Lock()
         self._client_counter = itertools.count(1)
-        # Slots filled (and, on restart, refilled) by _build_stack.
-        self.replicas: List[ParallelReplica] = [None] * config.n_replicas
-        #: merges[replica] — the replica's merge stage; None at one group.
-        self.merges: List[Optional[MergeStage]] = [None] * config.n_replicas
-        #: group_nodes[group][replica] — one ordering node per pair.
-        self.group_nodes: List[List[ThreadedNode]] = [
-            [None] * config.n_replicas for _ in range(config.n_groups)]
-        for replica_id in range(config.n_replicas):
+        #: stacks[replica]; a restart replaces its slot.
+        self.stacks: List[ReplicaStack] = [
             self._build_stack(replica_id)
+            for replica_id in range(config.n_replicas)]
         #: Routes client batches to groups; None at one group.
-        self.partition_map = (self.merges[0].partition_map
-                              if config.n_groups > 1 else None)
-        self._started = False
-
-    @property
-    def nodes(self) -> List[ThreadedNode]:
-        """Group 0's node per replica — *the* nodes at one group."""
-        return self.group_nodes[0]
+        self.partition_map = self.stacks[0].partition_map
 
     def _build_stack(self, replica_id: int,
-                     checkpoint: Optional[Any] = None) -> None:
-        """Build one replica's stack; started by the caller."""
+                     checkpoint: Optional[Checkpoint] = None) -> ReplicaStack:
         config = self.config
-        replica = build_execution(
-            config, replica_id, on_response=self._route_response,
-            service_factory=config.service_factory)
         stores = None
         if config.stable_storage:
             stores = [
                 InMemoryStableStore(
                     self._stores.setdefault((group, replica_id), {}))
                 for group in range(config.n_groups)]
-        # Refuses a grouped restart before the transport is touched.
-        first_instance = install_checkpoint(config, replica, checkpoint)
-        if checkpoint is not None:
-            # A rebuilt replica: drop what its predecessor left queued.
-            self.transports[0].reset_inbox(replica_id)
-            self.transports[0].recover(replica_id)
-        nodes, self.merges[replica_id] = build_nodes(
-            config, replica_id, replica, self.transports,
-            first_instance=first_instance, stable_stores=stores)
-        self.replicas[replica_id] = replica
-        for group, node in enumerate(nodes):
-            self.group_nodes[group][replica_id] = node
-
-    def _start_replica(self, replica_id: int) -> None:
-        self.replicas[replica_id].start()
-        for nodes in self.group_nodes:
-            nodes[replica_id].start()
-
-    def _engines(self) -> List[Any]:
-        """The MpService of every replica (lifecycle calls the Service
-        interface doesn't have); empty under the threaded engine."""
-        if self.config.engine != "mp":
-            return []
-        return [replica.service for replica in self.replicas]
+        return ReplicaStack(
+            config, replica_id, _Endpoint(self.transports, replica_id),
+            self.transports, on_response=self._route_response,
+            checkpoint=checkpoint, stable_stores=stores,
+            service_factory=config.service_factory)
 
     # -------------------------------------------------------------- lifecycle
 
     def start(self) -> "ThreadedCluster":
-        if self._started:
-            raise ShutdownError("cluster already started")
-        self._started = True
-        # Engines first: with the fork start method the shard processes
-        # should multiply the process before replica/node threads exist.
-        for engine in self._engines():
-            engine.start()
-        for replica_id in range(self.config.n_replicas):
-            self._start_replica(replica_id)
+        ReplicaStack.start_all(self.stacks)
         return self
 
     def stop(self) -> None:
-        for nodes in self.group_nodes:
-            for node in nodes:
-                node.stop()
+        for stack in self.stacks:
+            stack.stop()
+        # Every node is joined: nothing sends into the closed transports.
         for transport in self.transports:
             transport.close()
-        for replica in self.replicas:
-            replica.stop()
-        for engine in self._engines():
-            engine.stop()  # idempotent; after replicas so drains complete
 
     def __enter__(self) -> "ThreadedCluster":
         return self.start()
@@ -193,7 +162,7 @@ class ThreadedCluster:
             self._clients[client_id] = client
         return client
 
-    def _live_node(self, nodes: List[ThreadedNode],
+    def _live_node(self, nodes: Sequence[ThreadedNode],
                    contact: int) -> ThreadedNode:
         node = nodes[contact % len(nodes)]
         if not node.running:
@@ -203,8 +172,9 @@ class ThreadedCluster:
         return node
 
     def _submit(self, payload: Tuple[Command, ...], contact: int) -> None:
+        group_nodes = zip(*(stack.nodes for stack in self.stacks))
         route(self.partition_map, payload,
-              [self._live_node(nodes, contact) for nodes in self.group_nodes],
+              [self._live_node(nodes, contact) for nodes in group_nodes],
               self.config.lease_reads)
 
     def _route_response(self, command: Command, response: Any,
@@ -219,47 +189,30 @@ class ThreadedCluster:
     def crash(self, replica_id: int) -> None:
         """Crash-stop one replica: no more messages in or out (in any
         group), no execution."""
-        for transport, nodes in zip(self.transports, self.group_nodes):
-            transport.crash(replica_id)
-            nodes[replica_id].stop()
-        for nodes in self.group_nodes:
-            # A step in flight finishes first: once this returns the
-            # replica is not running, and may be restarted.
-            nodes[replica_id].join(timeout=2.0)
-        replica = self.replicas[replica_id]
-        replica.stop(timeout=1.0)
-        if self.config.engine == "mp":
-            replica.service.stop()
+        self.stacks[replica_id].stop()
 
     def restart_replica(self, replica_id: int,
                         from_peer: Optional[int] = None) -> None:
-        """Rebuild a crashed replica from a live peer's checkpoint.
+        """Rebuild a crashed replica from a live peer's checkpoint
+        (:func:`repro.smr.stack.restart_replica`).
 
-        The peer briefly quiesces to produce a consistent cut; the new
-        replica installs it and rejoins the broadcast group at
-        ``checkpoint.instance + 1``.  Heartbeat anti-entropy pulls any
-        instances decided since the checkpoint.  With
-        ``config.stable_storage`` the rebuilt protocol node also recovers
-        its acceptor promises, so rejoining cannot violate agreement.
+        Heartbeat anti-entropy pulls any instances decided since the
+        checkpoint.  With ``config.stable_storage`` the rebuilt protocol
+        node also recovers its acceptor promises, so rejoining cannot
+        violate agreement.
         """
-        from_peer = recovery_peer(
-            [node.running for node in self.nodes], replica_id, from_peer)
-        checkpoint = self.replicas[from_peer].take_checkpoint()
-        self._build_stack(replica_id, checkpoint)
-        if self.config.engine == "mp":
-            # Starting the fresh engine installs the checkpoint state
-            # stashed by install_checkpoint.
-            self.replicas[replica_id].service.start()
-        self._start_replica(replica_id)
+        self.stacks[replica_id] = restart_replica(
+            self.stacks, replica_id, from_peer,
+            lambda cut: self._build_stack(replica_id, cut))
 
     # --------------------------------------------------------------- helpers
 
     def services(self) -> List[Service]:
         """The replicas' service instances (for consistency checks)."""
-        return [replica.service for replica in self.replicas]
+        return [stack.service for stack in self.stacks]
 
     def total_executed(self) -> List[int]:
-        return [replica.executed for replica in self.replicas]
+        return [stack.replica.executed for stack in self.stacks]
 
     def wait_converged(self, expected: int, timeout: float = 10.0,
                        replicas: Optional[List[int]] = None) -> bool:
@@ -270,9 +223,9 @@ class ThreadedCluster:
                    else range(self.config.n_replicas))
         deadline = time.monotonic() + timeout
         while True:
-            if all(self.replicas[r].executed >= expected
-                   and (self.merges[r] is None
-                        or self.merges[r].merge_idle())
+            if all(self.stacks[r].replica.executed >= expected
+                   and (self.stacks[r].merge is None
+                        or self.stacks[r].merge.merge_idle())
                    for r in targets):
                 return True
             if time.monotonic() >= deadline:

@@ -25,6 +25,29 @@ the sequencer keeps no log; both run as before.
 
 ``cfg`` is the runtime's :class:`~repro.smr.deployment.DeploymentSpec`;
 the builders read nothing a runtime's subclass adds.
+
+Lifecycle
+---------
+:class:`ReplicaStack` is one replica built from these stages, and the one
+place its life is written down; a runtime brings only its endpoint.
+
+*Start*: the mp engine forks its shard processes first, so they inherit
+no thread or socket of the stack (starting it also installs a stashed
+checkpoint); then the endpoint opens, since a node's first step sends;
+then the workers, since a node's first delivery schedules for them; then
+the ordering nodes.
+
+*Stop*: every node is told to stop, then joined (at most
+:data:`STOP_TIMEOUT`), since a step in flight still sends and must find the
+endpoint open; then the endpoint closes; then the workers drain what is
+scheduled (at most :data:`STOP_TIMEOUT`); the engine stops last, since the
+draining workers execute on it.  An in-process *crash* is this stop: the
+peers cannot tell them apart, as a closed endpoint drops the replica's
+traffic (in memory) or closes its sockets (TCP).
+
+*Checkpoint restart* (:func:`restart_replica`): a live peer quiesces for a
+consistent cut; the crashed replica is rebuilt over it, joins its group
+at the cut's instance + 1, and starts.
 """
 
 from __future__ import annotations
@@ -44,14 +67,19 @@ from repro.smr.deployment import DeploymentSpec
 from repro.smr.replica import ParallelReplica, ResponseCallback
 from repro.smr.service import Service
 
-__all__ = ["DEFAULT_DEDUP_WINDOW", "build_execution", "build_nodes",
-           "build_protocol", "install_checkpoint", "recovery_peer", "route"]
+__all__ = ["DEFAULT_DEDUP_WINDOW", "STOP_TIMEOUT", "ReplicaStack",
+           "build_execution", "build_nodes", "build_protocol",
+           "restart_replica", "route"]
 
 #: Per-client dedup window of a replica behind a merge stage: one client's
 #: requests may surface out of request-id order across groups (see
 #: repro.smr.replica).  Must exceed any client's in-flight request count
 #: by a wide margin (client batches are tens of commands).
 DEFAULT_DEDUP_WINDOW = 1024
+
+#: Seconds a stopping stack waits for each ordering node's step in flight,
+#: and then for its workers to drain.
+STOP_TIMEOUT = 2.0
 
 
 def build_protocol(cfg: DeploymentSpec, replica_id: int, *,
@@ -99,8 +127,9 @@ def build_execution(cfg: DeploymentSpec, replica_id: int, *,
     """The execution stage: a replica over a threaded or mp service.
 
     With ``cfg.engine == "mp"`` the replica's ``service`` is an
-    :class:`~repro.par.MpService` the caller must ``start()`` before and
-    ``stop()`` after the replica (the Service interface has no lifecycle).
+    :class:`~repro.par.MpService`, which :class:`ReplicaStack` starts
+    before and stops after the replica (the Service interface has no
+    lifecycle).
     ``service_factory`` (in-process runtime only) replaces the registered
     ``cfg.service`` under the threaded engine.
     """
@@ -132,36 +161,6 @@ def build_execution(cfg: DeploymentSpec, replica_id: int, *,
         registry=registry,
         dedup_window=DEFAULT_DEDUP_WINDOW if cfg.n_groups > 1 else 0,
     )
-
-
-def install_checkpoint(cfg: DeploymentSpec, replica: ParallelReplica,
-                       checkpoint: Optional[Checkpoint]) -> int:
-    """Start a freshly built ``replica`` from a peer's ``checkpoint``
-    (``None``: from scratch); returns the instance its ordering node joins
-    at."""
-    if checkpoint is None:
-        return 0
-    if cfg.n_groups > 1:
-        raise ConfigurationError(
-            "checkpoint restart is single-group only: a checkpoint names "
-            "one instance frontier, not one per group")
-    replica.install_checkpoint(checkpoint)
-    return checkpoint.instance + 1
-
-
-def recovery_peer(running: Sequence[bool], replica_id: int,
-                  from_peer: Optional[int] = None) -> int:
-    """Whose checkpoint a crashed ``replica_id`` restarts from: ``from_peer``
-    if given, else the first replica still running."""
-    if running[replica_id]:
-        raise ConfigurationError(
-            f"replica {replica_id} is still running; crash it first")
-    if from_peer is not None:
-        return from_peer
-    for peer, live in enumerate(running):
-        if live and peer != replica_id:
-            return peer
-    raise ShutdownError("no live peer to recover from")
 
 
 def build_nodes(cfg: DeploymentSpec, replica_id: int, replica: ParallelReplica,
@@ -210,6 +209,108 @@ def build_nodes(cfg: DeploymentSpec, replica_id: int, replica: ParallelReplica,
             on_read=on_read, on_optimistic=on_optimistic,
             take_snapshot=take_snapshot, install_snapshot=install_snapshot))
     return nodes, merge
+
+
+class ReplicaStack:
+    """One live replica: its execution stage (and mp engine, if any), its
+    ``G`` ordering nodes and the merge stage and partition map between
+    them, with the one lifecycle (module docstring).
+
+    ``endpoint`` is the replica's end of the network, which ``start()``
+    opens and ``close()`` shuts; ``channels[g]`` carries group ``g`` over
+    it.  A peer's ``checkpoint`` makes this a restarted replica
+    (single-group only); the rest goes to the builders above.
+    """
+
+    def __init__(self, cfg: DeploymentSpec, replica_id: int, endpoint: Any,
+                 channels: Sequence[Any], *,
+                 on_response: Optional[ResponseCallback],
+                 name: str = "node",
+                 checkpoint: Optional[Checkpoint] = None,
+                 registry: Optional[MetricsRegistry] = None,
+                 stable_stores: Optional[Sequence[Any]] = None,
+                 service_factory: Optional[Callable[[], Service]] = None,
+                 on_install: Optional[Callable[[], None]] = None):
+        self.replica_id = replica_id
+        self.endpoint = endpoint
+        self.replica = build_execution(
+            cfg, replica_id, on_response=on_response, registry=registry,
+            service_factory=service_factory)
+        self.service: Service = self.replica.service
+        #: The MpService under ``engine="mp"`` (it needs lifecycle calls
+        #: the Service interface doesn't have).
+        self._engine = self.service if cfg.engine == "mp" else None
+        first_instance = 0
+        if checkpoint is not None:
+            if cfg.n_groups > 1:
+                raise ConfigurationError(
+                    "checkpoint restart is single-group only: a checkpoint "
+                    "names one instance frontier, not one per group")
+            self.replica.install_checkpoint(checkpoint)
+            first_instance = checkpoint.instance + 1
+        #: nodes[group]; ``merge`` is None at one group.
+        self.nodes, self.merge = build_nodes(
+            cfg, replica_id, self.replica, channels, name=name,
+            first_instance=first_instance, stable_stores=stable_stores,
+            registry=registry, on_install=on_install)
+        #: Routes client batches to groups; None at one group.
+        self.partition_map = self.merge.partition_map if self.merge else None
+        self._started = False
+
+    @staticmethod
+    def start_all(stacks: Sequence["ReplicaStack"]) -> None:
+        """Start the stacks of one process: every engine forks before any
+        stack opens its endpoint or starts a thread."""
+        for stack in stacks:
+            if stack._started:
+                raise ShutdownError(
+                    f"replica {stack.replica_id} already started")
+            stack._started = True
+            if stack._engine is not None:
+                stack._engine.start()
+        for stack in stacks:
+            stack.endpoint.start()
+            stack.replica.start()
+            for node in stack.nodes:
+                node.start()
+
+    def start(self) -> "ReplicaStack":
+        self.start_all([self])
+        return self
+
+    def stop(self) -> None:
+        """Teardown, and crash-stop too; idempotent."""
+        for node in self.nodes:
+            node.stop()
+        for node in self.nodes:
+            if node.running:
+                node.join(STOP_TIMEOUT)
+        self.endpoint.close()
+        self.replica.stop(timeout=STOP_TIMEOUT)
+        if self._engine is not None:
+            self._engine.stop()
+
+    @property
+    def running(self) -> bool:
+        return self._started and all(node.running for node in self.nodes)
+
+
+def restart_replica(members: Sequence[Any], replica_id: int,
+                    from_peer: Optional[int],
+                    rebuild: Callable[[Checkpoint], Any]) -> Any:
+    """Checkpoint restart of the crashed ``members[replica_id]`` (a
+    runtime's replicas, each with ``running``, ``replica`` and ``start()``):
+    ``from_peer``, else the first live one, quiesces for a consistent cut,
+    and ``rebuild(cut)`` is started and returned."""
+    running = [member.running for member in members]
+    if running[replica_id]:
+        raise ConfigurationError(
+            f"replica {replica_id} is still running; crash it first")
+    if from_peer is None:
+        if not any(running):
+            raise ShutdownError("no live peer to recover from")
+        from_peer = running.index(True)
+    return rebuild(members[from_peer].replica.take_checkpoint()).start()
 
 
 def _submit_batch(node: ThreadedNode, batch: Tuple[Command, ...],

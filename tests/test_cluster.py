@@ -1,10 +1,12 @@
 """End-to-end tests of the threaded SMR cluster."""
 
 import threading
+import time
 
 import pytest
 
 from repro.apps import BankService, KVStoreService, LinkedListService
+from repro.broadcast import Send
 from repro.core.command import Command
 from repro.errors import ConfigurationError
 from repro.smr import ClientTimeout, ClusterConfig, ThreadedCluster
@@ -101,7 +103,7 @@ class TestFaultTolerance:
             # Survivors agree once both executed the add (the first reply
             # only proves one of them did).
             assert cluster.wait_converged(1, timeout=5.0, replicas=[0, 1])
-            snapshots = [sorted(cluster.replicas[i].service.snapshot())
+            snapshots = [sorted(cluster.stacks[i].service.snapshot())
                          for i in (0, 1)]
             assert snapshots[0] == snapshots[1]
 
@@ -127,6 +129,38 @@ class TestFaultTolerance:
             cluster.crash(0)
             with pytest.raises(ClientTimeout):
                 client.execute(Command("contains", (2,), writes=False))
+
+
+class TestShutdown:
+    def test_a_follower_step_in_flight_at_stop_does_not_kill_the_node(
+            self, monkeypatch):
+        """``stop()`` lands while a follower's node thread is inside
+        ``protocol.on_message``, held open by a delay, with replies to
+        send.  They must not go into a closed transport: before the stop
+        sequence joined every node first, the node thread died with
+        ``ShutdownError('transport is closed')``."""
+        died = []
+        monkeypatch.setattr(threading, "excepthook", died.append)
+        with ThreadedCluster(linked_list_config()) as cluster:
+            client = cluster.client()
+            assert client.execute(Command("add", (500,), writes=True)) is True
+            follower = next(stack.nodes[0] for stack in cluster.stacks
+                            if not stack.nodes[0].protocol.is_leader)
+            on_message = follower.protocol.on_message
+            stepping = threading.Event()
+
+            def slow_on_message(src, msg):
+                actions = on_message(src, msg)
+                if any(type(action) is Send for action in actions):
+                    stepping.set()
+                    time.sleep(0.3)  # stop() runs inside this window
+                return actions
+
+            follower.protocol.on_message = slow_on_message
+            assert stepping.wait(timeout=5)
+        follower.join(timeout=5)
+        assert not died, [(hook.thread.name, hook.exc_value) for hook in died]
+        assert not follower.running
 
 
 class TestBankEndToEnd:
@@ -187,11 +221,11 @@ class TestSpeculativeCluster:
                     KVStoreService.put(f"k{i}", i)) is None
             assert client.execute(KVStoreService.get("k7")) == 7
             assert cluster.wait_converged(21, timeout=5.0)
-            assert all(isinstance(r, SpeculativeReplica)
-                       for r in cluster.replicas)
+            assert all(isinstance(s.replica, SpeculativeReplica)
+                       for s in cluster.stacks)
             # The commands really went through the optimistic pipeline.
-            assert all(r.speculation_stats["hits"] > 0
-                       for r in cluster.replicas)
+            assert all(s.replica.speculation_stats["hits"] > 0
+                       for s in cluster.stacks)
             snapshots = [s.snapshot() for s in cluster.services()]
             assert snapshots[0] == snapshots[1] == snapshots[2]
 

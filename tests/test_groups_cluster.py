@@ -62,11 +62,11 @@ def _drive(cluster: ThreadedCluster, commands):
 
 
 def _merged_positions(cluster: ThreadedCluster):
-    return [merge.merged_positions() for merge in cluster.merges]
+    return [stack.merge.merged_positions() for stack in cluster.stacks]
 
 
 def _class_histories(cluster: ThreadedCluster):
-    return [merge.class_histories() for merge in cluster.merges]
+    return [stack.merge.class_histories() for stack in cluster.stacks]
 
 
 def _assert_replicas_agree(cluster: ThreadedCluster) -> None:
@@ -175,5 +175,5 @@ class TestAgainstSingleGroupBaseline:
             assert cluster.wait_converged(20, timeout=20.0)
             # One group is the classic wiring: no merge stage exists at
             # all, let alone rendezvous traffic through one.
-            assert cluster.merges == [None] * 3
+            assert [stack.merge for stack in cluster.stacks] == [None] * 3
             assert cluster.partition_map is None

@@ -203,8 +203,8 @@ class TestClusterRecovery:
             # New traffic plus heartbeat anti-entropy bring replica 2 level.
             client.execute(Command("add", (200,), writes=True))
             assert wait_for(
-                lambda: sorted(cluster.replicas[2].service.snapshot())
-                == sorted(cluster.replicas[0].service.snapshot()),
+                lambda: sorted(cluster.stacks[2].service.snapshot())
+                == sorted(cluster.stacks[0].service.snapshot()),
                 timeout=10,
             )
 
@@ -214,7 +214,7 @@ class TestClusterRecovery:
             client.execute(Command("add", (55,), writes=True))
             cluster.crash(1)
             cluster.restart_replica(1)
-            assert wait_for(lambda: cluster.nodes[1].running)
+            assert wait_for(lambda: cluster.stacks[1].nodes[0].running)
             assert client.execute(
                 Command("contains", (55,), writes=False)) is True
 
@@ -226,7 +226,7 @@ class TestClusterRecovery:
         with ThreadedCluster(self._config()) as cluster:
             client = cluster.client()
             client.execute(Command("add", (55,), writes=True))
-            node = cluster.nodes[1]
+            node = cluster.stacks[1].nodes[0]
             fire_due_timers = node._fire_due_timers
             firing = threading.Event()
 
@@ -258,7 +258,7 @@ class TestClusterRecovery:
             cluster.restart_replica(0)
             client.execute(Command("add", (302,), writes=True))
             assert wait_for(
-                lambda: sorted(cluster.replicas[0].service.snapshot())
-                == sorted(cluster.replicas[1].service.snapshot()),
+                lambda: sorted(cluster.stacks[0].service.snapshot())
+                == sorted(cluster.stacks[1].service.snapshot()),
                 timeout=10,
             )

@@ -154,5 +154,5 @@ class TestChaos:
             plan.heal_all()
             client.execute(KVStoreService.put("c", 3))
             assert wait_until(
-                lambda: cluster.replicas[2].service.snapshot()
+                lambda: cluster.stacks[2].service.snapshot()
                 == {"a": 1, "b": 2, "c": 3}, timeout=10)

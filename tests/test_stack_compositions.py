@@ -7,6 +7,11 @@ the same seeded keyed workload (25 % cross-partition commands when there
 is more than one group), then requires every replica's state to agree with
 the others *and* with a sequential reference execution of the stream.
 
+Every cell also checks the stack's one lifecycle (``ReplicaStack`` in
+:mod:`repro.smr.stack`): ``stop()`` leaves no thread or shard process the
+stack started, and at one group a crashed replica restarts from a peer's
+checkpoint and serves a write and a read through itself.
+
 Two cells were impossible before the grouped fork was folded in — the
 grouped copy never plumbed them and ``NetConfig.validate`` rejected them:
 ``n_groups=2`` x ``engine="mp"`` and ``n_groups=2`` x
@@ -17,11 +22,15 @@ over TCP.
 
 from __future__ import annotations
 
+import multiprocessing
+import re
+import threading
 import time
 
 import pytest
 
 from repro.apps import build_service
+from repro.core.command import Command
 from repro.errors import ConfigurationError
 from repro.net.cluster import TcpCluster
 from repro.net.config import loopback_config
@@ -59,6 +68,28 @@ def _tcp(**options):
         n_replicas=3, service=SERVICE, client_timeout=5.0, **options))
 
 
+#: What a stack starts: ordering nodes, workers, the TCP reactor, and the
+#: mp engine's collector thread and shard processes.
+STACK_THREAD = re.compile(
+    r"(node-|net-node-|replica-\d+-worker-|tcp-|repro-par-)")
+
+
+def _stack_threads():
+    return {unit for unit in (threading.enumerate()
+                              + multiprocessing.active_children())
+            if STACK_THREAD.match(unit.name)}
+
+
+def _crash_and_restart(cluster):
+    """Replica 2 crashes, restarts from a peer's checkpoint, and answers a
+    write and a read it is the contact of."""
+    cluster.crash(2)
+    cluster.restart_replica(2)
+    client = cluster.client(contact=2)
+    assert client.execute(Command("add", (5000,), writes=True)) is True
+    assert client.execute(Command("contains", (5000,), writes=False)) is True
+
+
 RUNTIMES = pytest.mark.parametrize(
     "runtime", (_threaded, _tcp), ids=("threaded-cluster", "tcp-cluster"))
 
@@ -73,6 +104,7 @@ def _assert_matches_reference(runtime, n_groups=1, **options):
             "seeded workload produced no cross-partition commands")
     expected_responses, reference = _reference(
         commands, **options.get("service_kwargs", {}))
+    before = _stack_threads()
     with runtime(n_groups=n_groups, **options) as cluster:
         client = cluster.client()
         responses = []
@@ -94,9 +126,13 @@ def _assert_matches_reference(runtime, n_groups=1, **options):
                     or time.monotonic() > deadline):
                 break
             time.sleep(0.05)
+        if n_groups == 1:
+            _crash_and_restart(cluster)
     for replica_id, snapshot in enumerate(snapshots):
         assert snapshot == reference, (
             f"replica {replica_id} diverges from the sequential reference")
+    leaked = _stack_threads() - before
+    assert not leaked, f"stop() left {sorted(u.name for u in leaked)}"
 
 
 @RUNTIMES
@@ -127,7 +163,7 @@ def test_service_kwargs_reach_tcp_replicas(engine):
 
 @RUNTIMES
 def test_checkpoint_restart_is_refused_at_several_groups(runtime):
-    """Stated once (``stack.install_checkpoint``), so both runtimes refuse:
+    """Stated once (``stack.ReplicaStack``), so both runtimes refuse:
     a checkpoint names one instance frontier, not one per group."""
     with runtime(n_groups=2) as cluster:
         cluster.crash(2)
