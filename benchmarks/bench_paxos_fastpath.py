@@ -60,7 +60,7 @@ READS = 40 if SMOKE else (1_600 if FULL else 400)
 CLIENTS = 2
 
 #: Best-of-N timing samples per mode (first pass warms connections and
-#: dedup state; same methodology as bench_wire_codec).
+#: dedup state; best-of-N flattens scheduler noise on small hosts).
 SAMPLES = 3
 
 #: Fraction of protocol messages cumulative acks must shave off.

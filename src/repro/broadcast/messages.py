@@ -249,7 +249,7 @@ class Snapshot:
             keeps exactly-once semantics across the jump.
 
     One snapshot travels in one frame, so an application state past the
-    codecs' ``MAX_FRAME`` cannot be transferred (the send fails with a
+    wire codec's ``MAX_FRAME`` cannot be transferred (the send fails with a
     ``CodecError`` naming the size).
     """
 

@@ -8,7 +8,8 @@ merge needs no extra messages and no extra consensus round
 (docs/partitioning.md).
 
 ``Rendezvous`` crosses the TCP wire inside ordinary protocol batches and
-is therefore registered in :data:`repro.net.codec.WIRE_TYPES`.
+is therefore registered in :data:`repro.net.codec.WIRE_TYPES`, which gives
+it a tag byte of the binary codec (docs/wire.md).
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ own OS process, interpreter, and GIL (see ``docs/deployment.md``).
 
 Layers:
 
-- :mod:`repro.net.codec` — JSON-safe, length-prefixed wire codec for the
-  protocol messages and :class:`~repro.core.command.Command`.
+- :mod:`repro.net.codec` / :mod:`repro.net.bincodec` — the wire vocabulary
+  (protocol messages, :class:`~repro.core.command.Command`, the client
+  envelope) and the binary frame codec that carries it (docs/wire.md).
 - :mod:`repro.net.transport` — :class:`TcpTransport`: one ``selectors``
   reactor thread — server socket, per-peer bounded outboxes written in
   coalesced batches, reconnect/backoff/jitter.
@@ -46,10 +47,8 @@ _EXPORTS = {
     "Supervisor": "supervisor",
     "TcpCluster": "cluster",
     "TcpTransport": "transport",
-    "decode": "codec",
-    "decode_frame": "codec",
-    "encode": "codec",
-    "encode_frame": "codec",
+    "decode_frame": "bincodec",
+    "encode_frame": "bincodec",
     "free_port": "config",
 }
 

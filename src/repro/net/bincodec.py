@@ -1,11 +1,7 @@
-"""Compact binary wire codec (``wire="binary"``).
+"""The binary wire codec: the one codec on every TCP connection.
 
-The tagged-JSON codec (:mod:`repro.net.codec`) is the compatibility
-baseline: self-describing, debuggable with ``jq``, but it traverses every
-value twice (``encode`` builds a JSON-safe tree, ``json.dumps`` walks it
-again), wraps every tuple and dataclass in a tagging dict, and cannot carry
-``bytes`` at all.  This module is the hot-path replacement — one recursive
-pass straight into a ``bytearray``:
+Every value crosses in one recursive pass straight into a ``bytearray``,
+a tag byte and its payload:
 
 ========  ===========================================================
 tag byte  payload
@@ -16,7 +12,7 @@ tag byte  payload
 ``0x03``  int — zigzag LEB128 varint (arbitrary precision)
 ``0x04``  float — 8-byte IEEE-754 big-endian double (finite only)
 ``0x05``  str — varint byte length + UTF-8
-``0x06``  bytes — varint length + raw bytes (JSON cannot carry these)
+``0x06``  bytes — varint length + raw bytes
 ``0x07``  list — varint count + encoded items
 ``0x08``  tuple — varint count + encoded items
 ``0x09``  dict — varint count + encoded key/value pairs, in order
@@ -32,17 +28,14 @@ preserving the codec's no-pickle security stance.
 
 A frame is ``7-byte header + body``: magic ``0x5250`` (``"RP"``), one
 codec-version byte (:data:`WIRE_VERSION`), and a 4-byte big-endian body
-length.  The magic rejects cross-codec confusion (a JSON frame's length
-prefix never starts with ``0x5250`` for sane frame sizes — see
-docs/wire.md for the negotiation rules); the version byte rejects frames
-from a future tag assignment.  Both ends of a connection must be
-configured with the same ``wire=`` codec.
+length.  The magic rejects a peer that is not speaking this codec (see
+docs/wire.md for the fail-fast rules); the version byte rejects frames
+from a future tag assignment.
 
-Error contract: everything the JSON codec rejects, this codec rejects too
-(:class:`~repro.net.codec.CodecError`), and both reject non-finite floats;
-the single deliberate divergence is ``bytes``/``bytearray``, which only
-this codec accepts.  ``tests/test_wire_bincodec.py`` enforces the parity
-property with a seeded cross-codec fuzz.
+Error contract: whatever cannot be encoded — an unregistered class, an
+arbitrary object, a non-finite float — and whatever malformed body a peer
+sends fails as :class:`~repro.net.codec.CodecError`, never as another
+exception.
 """
 
 from __future__ import annotations
@@ -171,8 +164,8 @@ def _encode(out: bytearray, obj: Any) -> None:
         return
     if kind is float:
         if not math.isfinite(obj):
-            # RFC 8259 JSON has no NaN/Infinity and the codecs must agree
-            # value-for-value; reject at the source on both.
+            # NaN breaks equality (a decoded value would not compare equal
+            # to what was sent), so neither end carries non-finite floats.
             raise CodecError(f"cannot encode non-finite float: {obj!r}")
         out.append(_T_FLOAT)
         out += _DOUBLE.pack(obj)
@@ -213,9 +206,8 @@ def _encode(out: bytearray, obj: Any) -> None:
         for name in _TYPE_FIELDS[kind]:
             _encode(out, getattr(obj, name))
         return
-    # Slow path: subclasses of the scalar/container types.  The JSON codec
-    # accepts these through its isinstance checks, so error parity demands
-    # the same here (the subclass identity is lost on the wire either way).
+    # Slow path: subclasses of the scalar/container types travel as their
+    # base type (the subclass identity is lost on the wire).
     if isinstance(obj, int):
         out.append(_T_INT)
         _write_uvarint(out, _zigzag_encode(int(obj)))
@@ -246,8 +238,7 @@ def _encode(out: bytearray, obj: Any) -> None:
 # Decoders are plain functions ``(data, pos) -> (value, next_pos)`` in a
 # flat 256-slot dispatch list indexed by the tag byte.  This shape (locals
 # instead of a reader object, one IndexError guard instead of per-byte
-# bounds checks) is what lets a pure-Python parser race the C-accelerated
-# ``json.loads`` + tree-decode pipeline (see BENCH_wire_codec.json).
+# bounds checks) is what keeps a pure-Python parser fast.
 
 
 def _uvarint(data: bytes, pos: int) -> Tuple[int, int]:
@@ -385,19 +376,32 @@ for _cls, _tag in _TYPE_TAGS.items():
     _DECODERS[_tag] = _make_dataclass_decoder(_cls)
 
 
-def loads(data: bytes) -> Any:
-    """Decode one binary body produced by :func:`dumps`."""
-    data = bytes(data)
+def _decode_rest(data: bytes, pos: int, what: str) -> Any:
+    """Decode the one value that starts at ``pos`` and ends ``data``.
+
+    Inside the decoders a malformed body fails as an ``IndexError`` or
+    ``struct.error`` (it ends early), a ``TypeError`` (a list or dict as a
+    dict key) or a ``RecursionError`` (nesting past the interpreter's
+    limit); each becomes a :class:`CodecError` here, so a peer's bytes
+    cannot raise anything else.
+    """
     try:
-        value, pos = _DECODERS[data[0]](data, 1)
-    except IndexError:
+        value, pos = _DECODERS[data[pos]](data, pos + 1)
+    except (IndexError, struct.error):
         raise CodecError("truncated frame body") from None
-    except struct.error as error:
-        raise CodecError(f"truncated frame body: {error}") from None
+    except TypeError as error:
+        raise CodecError(f"malformed frame body: {error}") from None
+    except RecursionError:
+        raise CodecError("frame body nests too deeply") from None
     if pos != len(data):
         raise CodecError(
-            f"trailing garbage: {len(data) - pos} bytes after value")
+            f"trailing garbage: {len(data) - pos} bytes after {what}")
     return value
+
+
+def loads(data: bytes) -> Any:
+    """Decode one binary body produced by :func:`dumps`."""
+    return _decode_rest(bytes(data), 0, "value")
 
 
 # ---------------------------------------------------------------- frames
@@ -420,16 +424,9 @@ def decode_frame(body: bytes) -> Tuple[int, Any]:
     body = bytes(body)
     try:
         raw, pos = _uvarint(body, 0)
-        src = _zigzag_decode(raw)
-        msg, pos = _DECODERS[body[pos]](body, pos + 1)
     except IndexError:
         raise CodecError("truncated frame body") from None
-    except struct.error as error:
-        raise CodecError(f"truncated frame body: {error}") from None
-    if pos != len(body):
-        raise CodecError(
-            f"trailing garbage: {len(body) - pos} bytes after frame")
-    return src, msg
+    return _zigzag_decode(raw), _decode_rest(body, pos, "frame")
 
 
 def body_length(header: bytes) -> int:

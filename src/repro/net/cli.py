@@ -55,7 +55,9 @@ def _load_config(path: str) -> Optional[NetConfig]:
     it cannot be read as one — it is outside input."""
     try:
         with open(path) as handle:
-            return NetConfig.from_json(handle.read())
+            config = NetConfig.from_json(handle.read())
+        config.validate()
+        return config
     except (OSError, ConfigurationError) as error:
         print(f"error: cannot load deployment config {path}: {error}",
               file=sys.stderr)

@@ -9,14 +9,13 @@ needs too.
 from __future__ import annotations
 
 import contextlib
-import os
 import socket
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.codec import WIRE_NAMES
-from repro.smr.deployment import DeploymentSpec, cli_flag
+from repro.smr.deployment import DeploymentSpec
 
 __all__ = ["NetConfig", "free_port", "free_ports", "loopback_config"]
 
@@ -67,12 +66,10 @@ class NetConfig(DeploymentSpec):
 
     #: ``addresses[i]`` is replica ``i``'s (host, port) listen endpoint.
     addresses: Tuple[Endpoint, ...]
-    #: Wire codec on every TCP connection: "json" (tagged JSON, the v0
-    #: framing) or "binary" (compact framing; see docs/wire.md).  All
-    #: replicas and clients of one deployment must agree.
-    wire: str = field(default="json", metadata=cli_flag(
-        "--wire", choices=WIRE_NAMES,
-        help="wire codec on every TCP connection (docs/wire.md)"))
+    #: Wire codec on every TCP connection; "binary" is the only one
+    #: (docs/wire.md), so there is no flag.  The field stays while the
+    #: end-to-end benchmark still names the codec (ROADMAP item 1(a)).
+    wire: str = field(default="binary", metadata={"choices": WIRE_NAMES})
     #: ``metrics_addresses[i]`` is replica ``i``'s /metrics HTTP endpoint
     #: (see docs/observability.md); empty disables the endpoint.
     metrics_addresses: Tuple[Endpoint, ...] = ()
@@ -111,9 +108,6 @@ def loopback_config(n_replicas: int = 3, metrics: bool = False,
     """
     endpoints = [("127.0.0.1", port) for port in free_ports(
         n_replicas * (2 if metrics else 1))]
-    # REPRO_NET_WIRE lets CI run the same deployment tests once per codec
-    # without threading a flag through every fixture.
-    overrides.setdefault("wire", os.environ.get("REPRO_NET_WIRE", "json"))
     config = NetConfig(addresses=endpoints[:n_replicas],
                        metrics_addresses=endpoints[n_replicas:], **overrides)
     config.validate()

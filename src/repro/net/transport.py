@@ -176,7 +176,7 @@ class TcpTransport:
         backoff_max: float = 2.0,
         seed: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        wire: str = "json",
+        wire: str = "binary",
     ):
         if node_id not in addresses:
             raise ConfigurationError(
@@ -184,17 +184,12 @@ class TcpTransport:
         if queue_limit < 1:
             raise ConfigurationError("queue_limit must be >= 1")
         self.node_id = node_id
-        # Both endpoints of a connection must be configured with the same
-        # wire codec; see docs/wire.md for the (non-)negotiation rules.
+        # The binary codec, the only one ``wire`` can name (docs/wire.md).
         self._codec = wire_codec(wire)
         self._obs = registry if registry is not None else NULL_REGISTRY
         self._obs_on = self._obs.enabled
         self._m_recv_frames = self._obs.counter("net_frames_received_total")
         self._m_recv_bytes = self._obs.counter("net_bytes_received_total")
-        self._m_codec_rx_frames = self._obs.counter(
-            "net_codec_frames_total", codec=self._codec.name, direction="rx")
-        self._m_codec_rx_bytes = self._obs.counter(
-            "net_codec_bytes_total", codec=self._codec.name, direction="rx")
         self._m_codec_tx_frames = self._obs.counter(
             "net_codec_frames_total", codec=self._codec.name, direction="tx")
         self._m_codec_tx_bytes = self._obs.counter(
@@ -510,8 +505,8 @@ class TcpTransport:
                 (src, msg), conn.held = conn.held, None
                 self._dispatch(src, msg)
         except CodecError:
-            # Corrupt frame — or a peer speaking the other wire codec (the
-            # binary magic/version check lands here): drop the connection.
+            # Corrupt frame — or a peer not speaking this codec (the
+            # magic/version check lands here): drop the connection.
             self._drop_conn(conn)
         except Exception:
             # An interceptor failed: report it, lose that connection, and
@@ -519,11 +514,8 @@ class TcpTransport:
             sys.excepthook(*sys.exc_info())
             self._drop_conn(conn)
         if self._obs_on and frames:
-            nbytes = framer.consumed - consumed
             self._m_recv_frames.inc(frames)
-            self._m_recv_bytes.inc(nbytes)
-            self._m_codec_rx_frames.inc(frames)
-            self._m_codec_rx_bytes.inc(nbytes)
+            self._m_recv_bytes.inc(framer.consumed - consumed)
             self._m_inbox_depth.set(depth)
         return stalled
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import re
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -19,6 +21,37 @@ ALL_ALGORITHMS = ("coarse-grained", "fine-grained", "lock-free", "indexed",
 #: they satisfy the shared contract (test_scheduler_conformance.py) but
 #: deliberately serialize more than the pairwise relation requires.
 GRAPH_ALGORITHMS = ("coarse-grained", "fine-grained", "lock-free", "indexed")
+
+
+#: What a replica stack starts: ordering nodes, workers, the TCP reactor,
+#: and the mp engine's collector thread and shard processes.
+STACK_THREAD = re.compile(
+    r"(node-|net-node-|replica-\d+-worker-|tcp-|repro-par-)")
+
+#: How long a test's stack threads and shard processes may take to end
+#: after the test returns.
+LEAK_GRACE = 2.0
+
+
+def stack_threads() -> set:
+    """The live stack threads and shard processes (:data:`STACK_THREAD`)."""
+    return {unit for unit in (threading.enumerate()
+                              + multiprocessing.active_children())
+            if STACK_THREAD.match(unit.name)}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_stack_threads():
+    """Fail a test that leaves a stack thread or shard process running."""
+    before = stack_threads()
+    yield
+    deadline = time.monotonic() + LEAK_GRACE
+    while (leaked := stack_threads() - before) and (
+            time.monotonic() < deadline):
+        time.sleep(0.05)
+    if leaked:
+        pytest.fail(f"the test left {sorted(u.name for u in leaked)} "
+                    f"running {LEAK_GRACE} s after it ended")
 
 
 @pytest.fixture

@@ -161,7 +161,7 @@ class TestNetCli:
             "repro-net-cluster.json")
         config = handed_to_supervisor(
             "supervise", "--groups", "2", "--service", "linked-list-keyed",
-            "--engine", "mp", "--no-lease-reads", "--wire", "binary",
+            "--engine", "mp", "--no-lease-reads",
             "--replicas", "5", "--metrics")
         assert (config.n_groups, config.engine, config.wire) == (
             2, "mp", "binary")

@@ -107,6 +107,14 @@ class TestJson:
             propose_linger=0.002, lease_reads=False, trace=True)
         assert NetConfig.from_json(config.to_json()) == config
 
+    def test_a_retired_wire_codec_is_refused(self):
+        # A deployment file written when the tagged-JSON codec existed:
+        # refused, and the refusal names the codec that is accepted.
+        config = NetConfig.from_json(
+            '{"addresses": [["127.0.0.1", 1]], "wire": "json"}')
+        with pytest.raises(ConfigurationError, match="'binary'"):
+            config.validate()
+
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigurationError, match="bogus"):
             NetConfig.from_json('{"addresses": [["h", 1]], "bogus": 1}')
@@ -126,7 +134,7 @@ class TestJson:
                                       ["client"]))
     @pytest.mark.parametrize("text", [
         '{"addresses": [["127.0.0.1", 1]], "bogus": 1}', '{"service": "kv"}',
-        None])
+        None, '{"addresses": [["127.0.0.1", 1]], "wire": "json"}'])
     def test_cli_refuses_a_bad_config_file(self, argv, text, tmp_path,
                                            capsys):
         path = tmp_path / "bad.json"

@@ -113,8 +113,8 @@ def _net_replica_modules(tmp_path, *configs):
 
 def test_started_replica_imports_only_what_it_runs(tmp_path):
     startup, plain, with_metrics = _net_replica_modules(
-        tmp_path, ("plain", loopback_config(3, wire="binary")),
-        ("metrics", loopback_config(3, wire="binary", metrics=True)))
+        tmp_path, ("plain", loopback_config(3)),
+        ("metrics", loopback_config(3, metrics=True)))
     assert "repro.net.replica" in plain and "repro.net.transport" in plain
     leaked = {name: _loaded(plain, name) for name in FORBIDDEN}
     assert not any(leaked.values()), (
@@ -132,7 +132,7 @@ def test_forked_replica_imports_net_replica_less_the_cli(tmp_path,
                                                           monkeypatch):
     from repro.net import supervisor
 
-    config = loopback_config(3, wire="binary")
+    config = loopback_config(3)
     startup, plain = _net_replica_modules(tmp_path, ("plain", config))
     flag, code = supervisor._FORK_SERVER
     monkeypatch.setattr(supervisor, "_FORK_SERVER",

@@ -1,4 +1,4 @@
-"""Unit tests for the TCP wire codec (tagged JSON + length-prefix frames)."""
+"""Unit tests for the TCP wire codec (binary values + magic/version frames)."""
 
 import dataclasses
 
@@ -18,16 +18,15 @@ from repro.broadcast.messages import (
     Snapshot,
 )
 from repro.core.command import Command
-from repro.net.codec import (
+from repro.net.bincodec import (
+    HEADER,
     MAX_FRAME,
-    CodecError,
-    decode,
     decode_frame,
     dumps,
-    encode,
     encode_frame,
     loads,
 )
+from repro.net.codec import CodecError, WIRE_TYPES
 from repro.net.messages import ClientRequest, ClientResponse
 
 
@@ -118,8 +117,9 @@ class TestProtocolMessages:
 
 class TestRejections:
     def test_unknown_tag(self):
+        # One past the last registered dataclass tag names no type.
         with pytest.raises(CodecError):
-            decode({"!": "EvilType", "v": {}})
+            loads(bytes([0x20 + len(WIRE_TYPES)]))
 
     def test_unregistered_class_not_encodable(self):
         @dataclasses.dataclass
@@ -127,23 +127,37 @@ class TestRejections:
             x: int
 
         with pytest.raises(CodecError):
-            encode(Unregistered(1))
+            dumps(Unregistered(1))
 
     def test_registered_name_with_wrong_fields(self):
+        # Decide's tag byte followed by one field where Decide has two.
+        decide_tag = dumps(Decide(instance=1, value=None))[0]
         with pytest.raises(CodecError):
-            decode({"!": "Decide", "v": {"bogus": 1}})
+            loads(bytes([decide_tag]) + dumps(1))
 
     def test_arbitrary_object_not_encodable(self):
         with pytest.raises(CodecError):
-            encode(object())
+            dumps(object())
 
     def test_malformed_bytes(self):
         with pytest.raises(CodecError):
-            loads(b"{not json")
+            loads(b"\x05\x09abc")    # a 9-byte string cut off after 3
 
     def test_non_utf8_bytes(self):
         with pytest.raises(CodecError):
-            loads(b"\xff\xfe")
+            loads(b"\x05\x02\xff\xfe")    # a 2-byte string, not UTF-8
+
+    @pytest.mark.parametrize("body", [
+        bytes.fromhex("0901070000"),        # a dict whose key is a list
+        b"\x07\x01" * 5000 + b"\x00",       # 5,000 nested one-item lists
+    ], ids=["list-as-dict-key", "deep-nesting"])
+    def test_malformed_structure_is_a_codec_error(self, body):
+        # A peer's bytes must fail as CodecError, not as the TypeError or
+        # RecursionError the decoders hit underneath.
+        with pytest.raises(CodecError):
+            loads(body)
+        with pytest.raises(CodecError):
+            decode_frame(b"\x00" + body)
 
 
 class TestFrames:
@@ -151,9 +165,9 @@ class TestFrames:
         msg = Decide(instance=1,
                      value=(Command("add", (3,), writes=True),))
         frame = encode_frame(7, msg)
-        length = int.from_bytes(frame[:4], "big")
-        assert length == len(frame) - 4
-        src, decoded = decode_frame(frame[4:])
+        length = HEADER.unpack(frame[:HEADER.size])[2]
+        assert length == len(frame) - HEADER.size
+        src, decoded = decode_frame(frame[HEADER.size:])
         assert src == 7
         assert decoded == msg
 
@@ -162,11 +176,12 @@ class TestFrames:
             encode_frame(0, "x" * (MAX_FRAME + 1))
 
     def test_frame_body_must_be_pair(self):
+        body = encode_frame(3, "msg")[HEADER.size:]
         with pytest.raises(CodecError):
-            decode_frame(dumps([1, 2, 3]))
+            decode_frame(body[:1])              # a src and no message
         with pytest.raises(CodecError):
-            decode_frame(dumps(5))
+            decode_frame(body + dumps(5))       # a src and two messages
 
     def test_frame_src_must_be_int(self):
         with pytest.raises(CodecError):
-            decode_frame(dumps(("zero", Heartbeat(ballot=(1, 0)))))
+            encode_frame("zero", Heartbeat(ballot=(1, 0)))

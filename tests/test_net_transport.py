@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.command import Command
 from repro.errors import ConfigurationError, ShutdownError
-from repro.net.codec import MAX_FRAME, CodecError, wire_codec
+from repro.net import bincodec
+from repro.net.codec import MAX_FRAME, WIRE_NAMES, CodecError, wire_codec
 from repro.net.config import free_port
 from repro.net.messages import GroupEnvelope
 from repro.net.transport import (INBOX_LIMIT, WRITE_BATCH, Framer,
@@ -349,12 +350,12 @@ class TestSemanticsKept:
             right.close()
 
     def test_corrupt_peer_loses_its_connection_and_nothing_else(self):
-        left, right = make_pair(wire="binary")
+        left, right = make_pair()
         try:
             left.send(0, 1, "before")
             assert right.inbox(1).get(timeout=5) == (0, "before")
             with socket.create_connection(right.peers()[1]) as rogue:
-                rogue.sendall(b"\x00\x00\x00\x05hello")  # a JSON-wire frame
+                rogue.sendall(b"\x00\x00\x00\x05hello")  # no magic
                 rogue.settimeout(5)
                 assert rogue.recv(16) == b"", "corrupt connection kept open"
             left.send(0, 1, "after")
@@ -362,6 +363,34 @@ class TestSemanticsKept:
         finally:
             left.close()
             right.close()
+
+    @pytest.mark.parametrize("body", [
+        bytes.fromhex("0901070000"),        # a dict whose key is a list
+        b"\x07\x01" * 5000 + b"\x00",       # 5,000 nested one-item lists
+    ], ids=["list-as-dict-key", "deep-nesting"])
+    def test_malformed_body_costs_its_sender_the_connection_only(
+            self, monkeypatch, body):
+        # A frame with a valid header and a body the decoders choke on is a
+        # corrupt frame, not an interceptor failure: no traceback.
+        hooked = []
+        monkeypatch.setattr(sys, "excepthook",
+                            lambda *exc_info: hooked.append(exc_info))
+        left, right = make_pair()
+        try:
+            left.send(0, 1, "before")
+            assert right.inbox(1).get(timeout=5) == (0, "before")
+            frame = b"\x00" + body                  # src 0, then the message
+            with socket.create_connection(right.peers()[1]) as rogue:
+                rogue.sendall(bincodec.HEADER.pack(
+                    bincodec.MAGIC, bincodec.WIRE_VERSION, len(frame)) + frame)
+                rogue.settimeout(5)
+                assert rogue.recv(16) == b"", "corrupt connection kept open"
+            left.send(0, 1, "after")
+            assert right.inbox(1).get(timeout=5) == (0, "after")
+        finally:
+            left.close()
+            right.close()
+        assert hooked == []
 
     def test_interceptor_runs_on_the_transport_thread(self):
         names = queue.Queue()
@@ -486,7 +515,7 @@ MESSAGES = st.recursive(
     max_leaves=6)
 
 
-@pytest.mark.parametrize("wire", ["json", "binary"])
+@pytest.mark.parametrize("wire", WIRE_NAMES)
 class TestFramer:
     """The pure half of the read path: bytes in, ``(src, msg)`` out."""
 
@@ -526,8 +555,6 @@ class TestFramer:
             framer.next()
 
     def test_corrupt_header_is_rejected_before_any_body(self, wire):
-        if wire == "json":
-            pytest.skip("the v0 JSON header is a bare length: no magic")
         codec = wire_codec(wire)
         good = codec.encode_frame(0, "x")
         for corrupt in (b"XX" + good[2:],            # magic
@@ -557,12 +584,14 @@ class TestWritePath:
         addresses = {0: ("127.0.0.1", free_port()),
                      1: ("127.0.0.1", free_port())}
         count = 3000
+        # Padded so the queue spans more than two write batches.
+        pad = "." * 40
         left = TcpTransport(0, addresses, queue_limit=count,
                             backoff_base=0.02, backoff_max=0.05,
                             registry=registry).start()
         try:
             for index in range(count):   # nobody listens yet
-                left.send(0, 1, ("queued", index))
+                left.send(0, 1, ("queued", index, pad))
             right = TcpTransport(1, addresses).start()
             try:
                 received = []

@@ -1,9 +1,9 @@
 """End-to-end observability over the TCP deployment.
 
-Covers the CI ``tcp-cluster-smoke`` contract: a live replica serves
-``/metrics`` with the core series present, the series move monotonically
-under load, JSON snapshots land on disk, and the loopback bench's
-``--trace`` path produces a span log plus a Fig. 6-shaped point.
+A live replica serves ``/metrics`` with the core series present, the
+series move monotonically under load, JSON snapshots land on disk, and the
+loopback bench's ``--trace`` path produces a span log plus a Fig. 6-shaped
+point.
 """
 
 from __future__ import annotations
@@ -66,21 +66,20 @@ class TestMetricsEndpoint:
     def test_scrape_core_series_present_and_monotone(self, cluster):
         address = cluster.servers[0].metrics_address
         assert address is not None
-        client = cluster.client()
         commands = WorkloadGenerator(30.0, key_space=100, seed=9).commands(8)
-        client.execute_batch(commands)
-        cluster.wait_converged(8)
+        more = WorkloadGenerator(30.0, key_space=100, seed=10).commands(8)
+        with cluster.client() as client:
+            client.execute_batch(commands)
+            cluster.wait_converged(8)
+            before = _scrape(address)
+            client.execute_batch(more)
+            cluster.wait_converged(16)
+        after = _scrape(address)
 
-        before = _scrape(address)
         for name in CORE_SERIES:
             _series_value(before, name)  # raises when absent
         executed_before = _series_value(before, "replica_executed_total")
         assert executed_before >= 8
-
-        more = WorkloadGenerator(30.0, key_space=100, seed=10).commands(8)
-        client.execute_batch(more)
-        cluster.wait_converged(16)
-        after = _scrape(address)
         assert (_series_value(after, "replica_executed_total")
                 >= executed_before + 8)
         assert (_series_value(after, "replica_scheduled_total")

@@ -22,12 +22,10 @@ over TCP.
 
 from __future__ import annotations
 
-import multiprocessing
-import re
-import threading
 import time
 
 import pytest
+from conftest import stack_threads
 
 from repro.apps import build_service
 from repro.core.command import Command
@@ -68,18 +66,6 @@ def _tcp(**options):
         n_replicas=3, service=SERVICE, client_timeout=5.0, **options))
 
 
-#: What a stack starts: ordering nodes, workers, the TCP reactor, and the
-#: mp engine's collector thread and shard processes.
-STACK_THREAD = re.compile(
-    r"(node-|net-node-|replica-\d+-worker-|tcp-|repro-par-)")
-
-
-def _stack_threads():
-    return {unit for unit in (threading.enumerate()
-                              + multiprocessing.active_children())
-            if STACK_THREAD.match(unit.name)}
-
-
 def _crash_and_restart(cluster):
     """Replica 2 crashes, restarts from a peer's checkpoint, and answers a
     write and a read it is the contact of."""
@@ -104,7 +90,7 @@ def _assert_matches_reference(runtime, n_groups=1, **options):
             "seeded workload produced no cross-partition commands")
     expected_responses, reference = _reference(
         commands, **options.get("service_kwargs", {}))
-    before = _stack_threads()
+    before = stack_threads()
     with runtime(n_groups=n_groups, **options) as cluster:
         client = cluster.client()
         responses = []
@@ -131,7 +117,7 @@ def _assert_matches_reference(runtime, n_groups=1, **options):
     for replica_id, snapshot in enumerate(snapshots):
         assert snapshot == reference, (
             f"replica {replica_id} diverges from the sequential reference")
-    leaked = _stack_threads() - before
+    leaked = stack_threads() - before
     assert not leaked, f"stop() left {sorted(u.name for u in leaked)}"
 
 

@@ -1,16 +1,12 @@
-"""Differential tests for the binary wire codec (``repro.net.bincodec``).
+"""Property tests for the binary wire codec (``repro.net.bincodec``).
 
-The binary codec must be *observationally identical* to the tagged-JSON
-codec on everything the wire carries: a seeded fuzzer generates values from
-the wire vocabulary (scalars, tuples, dicts with non-string keys, registered
-dataclasses, arbitrary nesting) and asserts both codecs round-trip them to
-equal values, and that both reject the same invalid inputs.  The one
-*deliberate* divergence is ``bytes``: native in the binary codec, rejected
-by JSON — pinned here so it can never drift silently.
+A seeded fuzzer generates values from the wire vocabulary (scalars,
+tuples, dicts with non-string keys, registered dataclasses, arbitrary
+nesting) and asserts each round-trips to an equal value of the same type,
+and that invalid inputs are rejected.  ``bytes`` travel natively.
 
-The end-to-end half runs a live :class:`TcpCluster` on the binary wire and
-pushes a bytes payload through a full client round trip, which JSON frames
-cannot carry at all.
+The end-to-end half runs a live :class:`TcpCluster` and pushes a bytes
+payload through a full client round trip.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from repro.broadcast.messages import (
 )
 from repro.core.command import Command
 from repro.net import bincodec
-from repro.net import codec as jsoncodec
 from repro.net.cluster import TcpCluster
 from repro.net.codec import WIRE_NAMES, WIRE_TYPES, CodecError, wire_codec
 from repro.net.messages import ClientRequest, ClientResponse
@@ -48,7 +43,7 @@ def _scalar(rng: random.Random):
         return rng.random() < 0.5
     if choice == 2:
         # Ints spanning the varint fast path, multi-byte encodings, and
-        # beyond-64-bit bignums (both codecs are arbitrary precision).
+        # beyond-64-bit bignums (the codec is arbitrary precision).
         return rng.choice([0, 1, -1, 63, 64, 127, 128, -128, 2**31,
                            -(2**31), 2**63, 2**80, rng.getrandbits(48),
                            -rng.getrandbits(48)])
@@ -126,7 +121,7 @@ def _message(rng: random.Random, depth: int = 0):
     return _command(rng)
 
 
-# --------------------------------------------------------------- differential
+# ----------------------------------------------------------------- round trips
 
 
 class TestDifferentialFuzz:
@@ -136,11 +131,9 @@ class TestDifferentialFuzz:
         rng = random.Random(seed)
         for _ in range(25):
             value = _value(rng)
-            via_json = jsoncodec.loads(jsoncodec.dumps(value))
-            via_binary = bincodec.loads(bincodec.dumps(value))
-            assert via_json == value
-            assert via_binary == value
-            assert type(via_binary) is type(via_json)
+            decoded = bincodec.loads(bincodec.dumps(value))
+            assert decoded == value
+            assert type(decoded) is type(value)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_frames_roundtrip_identically(self, seed):
@@ -148,21 +141,19 @@ class TestDifferentialFuzz:
         for _ in range(10):
             src = rng.randrange(16)
             msg = _message(rng)
-            for codec in (wire_codec("json"), wire_codec("binary")):
-                frame = codec.encode_frame(src, msg)
-                header = frame[:codec.header_size]
-                body = frame[codec.header_size:]
-                assert codec.body_length(header) == len(body)
-                assert codec.decode_frame(body) == (src, msg)
+            frame = bincodec.encode_frame(src, msg)
+            header = frame[:bincodec.header_size]
+            body = frame[bincodec.header_size:]
+            assert bincodec.body_length(header) == len(body)
+            assert bincodec.decode_frame(body) == (src, msg)
 
     def test_every_wire_type_has_a_binary_tag(self):
-        # The registry is the single source of truth: a dataclass that can
-        # cross the JSON wire must also have a stable binary tag, assigned
-        # deterministically from the sorted registry names.
+        # The registry is the single source of truth: every registered
+        # dataclass has a stable binary tag, assigned deterministically
+        # from the sorted registry names.
         tags = bincodec._TYPE_TAGS
         for name, cls in WIRE_TYPES.items():
-            assert cls in tags, (
-                f"{name} is registered for JSON but has no binary tag")
+            assert cls in tags, f"{name} is registered but has no binary tag"
         assert sorted(tags.values()) == list(
             range(0x20, 0x20 + len(WIRE_TYPES)))
 
@@ -185,33 +176,25 @@ class TestDifferentialFuzz:
         {1, 2, 3},
     ])
     def test_rejections_agree(self, bad):
-        for mod in (jsoncodec, bincodec):
-            with pytest.raises(CodecError):
-                mod.dumps(bad)
+        with pytest.raises(CodecError):
+            bincodec.dumps(bad)
 
     def test_unregistered_dataclass_rejected_by_both(self):
         @dataclasses.dataclass
         class NotOnTheWire:
             x: int = 1
 
-        for mod in (jsoncodec, bincodec):
-            with pytest.raises(CodecError):
-                mod.dumps(NotOnTheWire())
+        with pytest.raises(CodecError):
+            bincodec.dumps(NotOnTheWire())
 
     def test_bytes_divergence_is_deliberate(self):
-        # The one asymmetry: binary carries bytes natively (snapshots,
-        # opaque app payloads); JSON has no bytes type and must refuse
-        # rather than guess an encoding.
+        # The wire carries bytes natively (snapshots, opaque app payloads).
         blob = bytes(range(256))
         assert bincodec.loads(bincodec.dumps(blob)) == blob
         assert bincodec.loads(bincodec.dumps((1, {"b": blob}))) == \
             (1, {"b": blob})
-        # bytearray rides along as bytes on the binary wire; JSON rejects
-        # both spellings.
+        # bytearray rides along as bytes.
         assert bincodec.loads(bincodec.dumps(bytearray(blob))) == blob
-        for payload in (blob, bytearray(blob)):
-            with pytest.raises(CodecError):
-                jsoncodec.dumps(payload)
 
 
 # ------------------------------------------------------------- binary frames
@@ -220,11 +203,12 @@ class TestDifferentialFuzz:
 class TestBinaryFrames:
 
     def test_header_magic_rejected(self):
-        json_frame = jsoncodec.encode_frame(3, Decide(1, "x"))
+        body = bincodec.dumps((3, Decide(1, "x")))
+        bare = len(body).to_bytes(4, "big") + body
         with pytest.raises(CodecError):
-            # A JSON peer's length prefix is not a binary header: the magic
+            # A bare 4-byte length prefix is not a binary header: the magic
             # check fails instead of treating 4 random bytes as a length.
-            bincodec.body_length(json_frame[:bincodec.header_size])
+            bincodec.body_length(bare[:bincodec.header_size])
 
     def test_version_mismatch_rejected(self):
         frame = bincodec.encode_frame(0, "hello")
@@ -268,17 +252,17 @@ class TestBinaryFrames:
 class TestWireRegistry:
 
     def test_names(self):
-        assert WIRE_NAMES == ("json", "binary")
+        assert WIRE_NAMES == ("binary",)
 
     def test_lookup(self):
-        assert wire_codec("json").name == "json"
         binary = wire_codec("binary")
         assert binary.name == "binary"
         assert binary.header_size == bincodec.header_size
 
     def test_unknown_wire_rejected(self):
-        with pytest.raises(CodecError):
-            wire_codec("protobuf")
+        for name in ("json", "protobuf"):
+            with pytest.raises(CodecError):
+                wire_codec(name)
 
 
 # -------------------------------------------------------- live binary cluster
@@ -288,10 +272,9 @@ class TestBinaryCluster:
 
     def test_bytes_payload_roundtrips_through_cluster(self):
         # End to end on real sockets: a bytes value rides a Command through
-        # client -> leader -> consensus -> execution -> response, all on
-        # binary frames.  This payload cannot cross the JSON wire at all.
+        # client -> leader -> consensus -> execution -> response.
         blob = bytes(range(256)) * 4
-        with TcpCluster(n_replicas=3, wire="binary", service="kv") as cluster:
+        with TcpCluster(n_replicas=3, service="kv") as cluster:
             client = cluster.client()
             assert client.execute(
                 Command("put", ("blob", blob), writes=True)) is None
