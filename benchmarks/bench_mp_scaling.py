@@ -17,15 +17,22 @@ land in ``benchmarks/results/mp_scaling.txt`` and the machine-readable
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
+import threading
+import time
 
 sys.path.insert(0, os.path.dirname(__file__))  # conftest when run directly
 
 from conftest import emit
 
+from repro.apps import build_service
 from repro.bench import FigureData
-from repro.par.bench import MpBenchConfig, run_mp_bench
+from repro.obs.registry import MetricsRegistry
+from repro.par import MpService
+from repro.smr.replica import ParallelReplica
+from repro.workload import WorkloadGenerator
 
 SMOKE = bool(int(os.environ.get("REPRO_BENCH_SMOKE", "0")))
 FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
@@ -36,69 +43,85 @@ WORKER_COUNTS = [1, 2] if SMOKE else ([1, 2, 4, 8] if FULL else [1, 2, 4])
 KEY_SPACE = 500 if SMOKE else 4_000
 MEASURE_OPS = 300 if SMOKE else 2_000
 WARM_OPS = 50 if SMOKE else 200
+#: Commands per ``on_deliver`` call: one atomic-broadcast instance.
+DELIVER_BATCH = 32
+TIMEOUT = 120.0
+
+#: Measured series (engines): the threaded baseline, and the mp engine,
+#: which ships each same-shard batch the replica drains from the COS ready
+#: set in one pickle and one queue wakeup.
+SERIES = ("threaded", "mp")
 
 
-#: Measured series: the threaded baseline plus the mp engine with batched
-#: dispatch (ParallelReplica's default drain of the COS ready set — one
-#: pickle and one queue wakeup per same-shard batch) and with batching
-#: disabled (``dispatch_batch=1`` — one IPC round trip per command, the
-#: pre-batching behavior).
-SERIES = (
-    ("threaded", "threaded", None),
-    ("mp-batched", "mp", None),
-    ("mp-unbatched", "mp", 1),
-)
+def run_point(engine: str, workers: int) -> dict:
+    """Execute the workload on one replica and time it on the wall clock.
 
+    A feeder thread plays the atomic broadcast: ordered ``on_deliver``
+    calls of ``DELIVER_BATCH`` commands, paced by COS backpressure as in
+    a real replica.  The window runs from the ``WARM_OPS``-th response to
+    the last one, both stamped by the replica's response callback.
+    """
+    registry = MetricsRegistry()
+    total = WARM_OPS + MEASURE_OPS
+    commands = WorkloadGenerator(
+        0.0, key_space=KEY_SPACE, seed=1).commands(total)
+    service_kwargs = {"initial_size": KEY_SPACE}
+    engine_service = None
+    if engine == "mp":
+        engine_service = MpService("linked-list", service_kwargs,
+                                   workers=workers, registry=registry)
+        service = engine_service.start()
+    else:
+        service = build_service("linked-list", **service_kwargs)
+    responses = itertools.count(1)
+    stamps = {}
+    done = threading.Event()
 
-def _point(label: str, engine: str, workers: int, dispatch_batch) -> dict:
-    config = MpBenchConfig(
-        engine=engine,
-        mp_workers=workers,
-        workers=workers if engine == "threaded" else 2 * workers,
-        write_pct=0.0,              # the paper's best-scaling workload
-        key_space=KEY_SPACE,
-        warm_ops=WARM_OPS,
-        measure_ops=MEASURE_OPS,
-        dispatch_batch=dispatch_batch,
-    )
-    result = run_mp_bench(config)
+    def on_response(command, response, replica_id) -> None:
+        count = next(responses)
+        if count in (WARM_OPS, total):
+            stamps[count] = time.perf_counter()
+        if count == total:
+            done.set()
+
+    replica = ParallelReplica(0, service, workers=workers,
+                              registry=registry, on_response=on_response)
+
+    def feeder() -> None:
+        for offset in range(0, total, DELIVER_BATCH):
+            replica.on_deliver(offset, commands[offset:offset + DELIVER_BATCH])
+
+    replica.start()
+    feeder_thread = threading.Thread(target=feeder, name="mp-bench-feeder",
+                                     daemon=True)
+    feeder_thread.start()
+    try:
+        if not done.wait(TIMEOUT):
+            raise TimeoutError(f"{engine} executed only {replica.executed}/"
+                               f"{total} commands within {TIMEOUT}s")
+        feeder_thread.join(5.0)
+    finally:
+        replica.stop()
+        if engine_service is not None:
+            engine_service.stop()
+
+    duration = stamps[total] - stamps[WARM_OPS]
+    dispatch = registry.histogram("mp_dispatch_seconds")
     return {
-        "series": label,
         "engine": engine,
         "workers": workers,
-        "dispatch_batch": dispatch_batch,
-        "throughput": result.throughput,
-        "dispatch_p50": result.dispatch_p50,
-        "dispatch_p99": result.dispatch_p99,
-        "shard_busy": result.shard_busy,
-        "barrier_rounds": result.barrier_rounds,
+        "throughput": MEASURE_OPS / duration,
+        "dispatch_p50": dispatch.quantile(0.50),
+        "dispatch_p99": dispatch.quantile(0.99),
+        # Fraction of the window each shard spent executing; a sum above
+        # 1.0 is the engine using more than one core.
+        "shard_busy": [
+            registry.histogram("mp_shard_busy_seconds", shard=str(shard)).sum
+            / duration
+            for shard in range(workers if engine == "mp" else 0)],
+        "barrier_rounds": int(
+            registry.counter("mp_barrier_rounds_total").value),
     }
-
-
-def _crossover(mp_points: dict, threaded_points: dict):
-    """Worker count where the mp curve reaches the threaded baseline.
-
-    Returns the smallest measured worker count whose mp/threaded ratio is
-    >= 1.  When no measured point crosses (the single-CPU case: the mp
-    engine pays IPC overhead with no cores to win back), the ratio trend
-    of the last two points is extrapolated linearly to 1.0 — a *projected*
-    crossover, recorded as such.  A flat or falling trend projects to
-    ``None`` (never crosses).
-    """
-    counts = sorted(set(mp_points) & set(threaded_points))
-    ratios = [(w, mp_points[w] / threaded_points[w]) for w in counts]
-    for workers, ratio in ratios:
-        if ratio >= 1.0:
-            return {"workers": workers, "ratio": ratio,
-                    "projected": False, "ratios": ratios}
-    if len(ratios) >= 2:
-        (w_lo, r_lo), (w_hi, r_hi) = ratios[-2], ratios[-1]
-        slope = (r_hi - r_lo) / (w_hi - w_lo)
-        if slope > 0:
-            return {"workers": w_hi + (1.0 - r_hi) / slope,
-                    "ratio": 1.0, "projected": True, "ratios": ratios}
-    return {"workers": None, "ratio": ratios[-1][1] if ratios else 0.0,
-            "projected": True, "ratios": ratios}
 
 
 def mp_scaling() -> FigureData:
@@ -110,31 +133,24 @@ def mp_scaling() -> FigureData:
         y_label="cmds/s",
     )
     points = []
-    for label, engine, dispatch_batch in SERIES:
+    for engine in SERIES:
         for workers in WORKER_COUNTS:
-            point = _point(label, engine, workers, dispatch_batch)
+            point = run_point(engine, workers)
             points.append(point)
-            figure.add_point("wall-clock", label, workers,
+            figure.add_point("wall-clock", engine, workers,
                              point["throughput"])
-    curves = {label: dict(figure.panels["wall-clock"][label])
-              for label, _, _ in SERIES}
-    crossovers = {
-        "batched": _crossover(curves["mp-batched"], curves["threaded"]),
-        "unbatched": _crossover(curves["mp-unbatched"], curves["threaded"]),
-    }
     figure.extra = {
         "points": points,
         "worker_counts": WORKER_COUNTS,
         "key_space": KEY_SPACE,
         "measure_ops": MEASURE_OPS,
         "smoke": SMOKE,
-        "crossover": crossovers,
     }
     return figure
 
 
 def _check_scaling(figure: FigureData) -> None:
-    mp_points = dict(figure.panels["wall-clock"]["mp-batched"])
+    mp_points = dict(figure.panels["wall-clock"]["mp"])
     low, high = min(mp_points), max(mp_points)
     cores = os.cpu_count() or 1
     if cores >= 4 and high >= 4 and not SMOKE:
@@ -147,32 +163,6 @@ def _check_scaling(figure: FigureData) -> None:
     else:
         print(f"[mp_scaling] speedup assertion skipped "
               f"(cpu_count={cores}, max_workers={high}, smoke={SMOKE})")
-    _check_crossover(figure)
-
-
-def _check_crossover(figure: FigureData) -> None:
-    crossovers = figure.extra["crossover"]
-    batched = crossovers["batched"]
-    unbatched = crossovers["unbatched"]
-    for label, data in (("batched", batched), ("unbatched", unbatched)):
-        mark = "projected " if data["projected"] else ""
-        where = ("never" if data["workers"] is None
-                 else f"{data['workers']:.2f} workers")
-        print(f"[mp_scaling] {label} mp-vs-threaded crossover: "
-              f"{mark}{where} (last ratio {data['ratios'][-1][1]:.3f})")
-    if SMOKE:
-        return
-    # Batched dispatch amortizes the per-command IPC round trip, so the mp
-    # engine must reach (or project to reach) the threaded baseline at a
-    # strictly lower worker count than unbatched dispatch.  ``None`` means
-    # "never crosses" and compares as +inf.
-    inf = float("inf")
-    batched_at = batched["workers"] if batched["workers"] is not None else inf
-    unbatched_at = (unbatched["workers"]
-                    if unbatched["workers"] is not None else inf)
-    assert batched_at < unbatched_at, (
-        f"batched dispatch did not lower the mp-vs-threaded crossover "
-        f"(batched {batched_at}, unbatched {unbatched_at})")
 
 
 def test_mp_scaling(benchmark):
@@ -180,7 +170,7 @@ def test_mp_scaling(benchmark):
     emit(figure)
     _check_scaling(figure)
     # Engine sanity holds on any host: every configured point measured.
-    assert len(figure.panels["wall-clock"]["mp-batched"]) == \
+    assert len(figure.panels["wall-clock"]["mp"]) == \
         len(WORKER_COUNTS)
 
 

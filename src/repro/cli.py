@@ -4,8 +4,8 @@ Subcommands:
 
 - ``figures [fig2 ... fig6] [--full]`` — regenerate the paper's figures as
   ASCII tables.
-- ``standalone --algorithm A --workers N [...]`` — one standalone
-  data-structure run (paper §7.3), printing throughput.
+- ``standalone --algorithm A --workers N [...]`` — one simulated
+  standalone data-structure run (paper §7.3), printing throughput.
 - ``smr --algorithm A --workers N [...]`` — one simulated SMR run
   (paper §7.4), printing throughput and latency.
 - ``ablations [--full]`` — run the ablation sweeps.
@@ -14,7 +14,10 @@ Subcommands:
   specification (see ``docs/model_checking.md``).
 - ``net replica|supervise|client|bench [...]`` — the TCP multi-process
   deployment: replica/client processes, a local cluster supervisor, and a
-  loopback benchmark (see ``docs/deployment.md``).
+  loopback benchmark (see ``docs/deployment.md``).  This is the one
+  wall-clock path: a replica on the multiprocess engine is a deployment
+  with ``--engine mp`` (``net bench --engine mp``), not a flag of
+  ``standalone`` or ``smr``.
 
 Each handler imports the stack it runs when it runs (``check`` loads no
 figure harness, ``figures`` no model checker); ``python -m repro net ...``
@@ -50,21 +53,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="record the run through the observability "
                              "registry and print its snapshot "
                              "(docs/observability.md)")
-    parser.add_argument("--engine", default="sim",
-                        choices=("sim", "threaded", "mp"),
-                        help="'sim' runs the discrete-event simulator "
-                             "(the paper's figures); 'threaded'/'mp' run "
-                             "real wall-clock execution, 'mp' on the "
-                             "shard-per-process engine "
-                             "(docs/parallel_execution.md)")
-    parser.add_argument("--mp-workers", type=int, default=2,
-                        help="shard worker processes with --engine mp")
-    parser.add_argument("--key-dist", default="uniform",
-                        choices=("uniform", "zipf"),
-                        help="workload key distribution (zipf = skewed, "
-                             "YCSB-style)")
-    parser.add_argument("--zipf-s", type=float, default=0.99,
-                        help="Zipf exponent for --key-dist zipf")
 
 
 class _CheckHelpFormatter(argparse.HelpFormatter):
@@ -106,6 +94,12 @@ def _build_parser() -> argparse.ArgumentParser:
     standalone = sub.add_parser(
         "standalone", help="one standalone data-structure run (paper §7.3)")
     _add_common(standalone)
+    standalone.add_argument("--key-dist", default="uniform",
+                            choices=("uniform", "zipf"),
+                            help="workload key distribution (zipf = "
+                                 "skewed, YCSB-style)")
+    standalone.add_argument("--zipf-s", type=float, default=0.99,
+                            help="Zipf exponent for --key-dist zipf")
 
     smr = sub.add_parser(
         "smr", help="one simulated SMR cluster run (paper §7.4)")
@@ -115,13 +109,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="optimistic execution over the sequencer fast "
                           "path: execute on optimistic delivery, commit or "
                           "roll back on the conservative order "
-                          "(docs/speculation.md); with --engine sim runs "
-                          "the speculation DES side by side with the "
-                          "conservative baseline, with --engine threaded "
-                          "runs a real speculative cluster")
+                          "(docs/speculation.md); runs the speculation DES "
+                          "side by side with the conservative baseline")
     smr.add_argument("--mismatch-rate", type=float, default=0.0,
                      help="forced optimistic-reorder probability in the "
-                          "speculation DES (--speculative --engine sim)")
+                          "speculation DES (--speculative)")
 
     ablations = sub.add_parser("ablations", help="run ablation sweeps")
     ablations.add_argument("--full", action="store_true")
@@ -197,16 +189,14 @@ def _obs_registry(args: argparse.Namespace):
     return MetricsRegistry()
 
 
-def _print_obs(registry, clock: str = "virtual clock") -> None:
+def _print_obs(registry) -> None:
     from repro.obs import render_text
 
-    print(f"--- observability snapshot ({clock}) ---")
+    print("--- observability snapshot (virtual clock) ---")
     print(render_text(registry), end="")
 
 
 def _cmd_standalone(args: argparse.Namespace) -> int:
-    if args.engine != "sim":
-        return _cmd_standalone_wallclock(args)
     registry = _obs_registry(args)
     from repro.bench import StandaloneConfig, run_standalone
 
@@ -231,43 +221,9 @@ def _cmd_standalone(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_standalone_wallclock(args: argparse.Namespace) -> int:
-    """One replica on a real engine against a wall clock (--engine mp)."""
-    from repro.obs import MetricsRegistry
-    from repro.par.bench import MpBenchConfig, run_mp_bench
-
-    registry = MetricsRegistry()
-    result = run_mp_bench(MpBenchConfig(
-        engine=args.engine,
-        mp_workers=args.mp_workers,
-        workers=args.workers,
-        cos_algorithm=args.algorithm,
-        write_pct=args.write_pct,
-        key_dist=args.key_dist,
-        zipf_s=args.zipf_s,
-        seed=args.seed,
-        measure_ops=args.measure_ops,
-        warm_ops=max(args.measure_ops // 10, 50),
-    ), registry=registry)
-    print(f"engine={args.engine} algorithm={args.algorithm} "
-          f"mp_workers={args.mp_workers} writes={args.write_pct}% "
-          f"key_dist={args.key_dist}")
-    print(f"throughput: {result.throughput:,.0f} cmds/s wall clock "
-          f"({result.executed} cmds in {result.duration:.2f}s)")
-    if args.engine == "mp":
-        print(f"dispatch latency: p50 {result.dispatch_p50 * 1e6:.0f} us / "
-              f"p99 {result.dispatch_p99 * 1e6:.0f} us   shard busy: "
-              + " ".join(f"{busy:.2f}" for busy in result.shard_busy))
-    if args.obs:
-        _print_obs(registry, "wall clock")
-    return 0
-
-
 def _cmd_smr(args: argparse.Namespace) -> int:
-    if args.speculative and args.engine == "sim":
+    if args.speculative:
         return _cmd_smr_speculative(args)
-    if args.engine != "sim":
-        return _cmd_smr_wallclock(args)
     registry = _obs_registry(args)
     from repro.smr.sim_cluster import SimClusterConfig, run_sim_cluster
 
@@ -326,44 +282,6 @@ def _cmd_smr_speculative(args: argparse.Namespace) -> int:
                  and all(s == cons.snapshots[0] for s in cons.snapshots))
     print(f"  replica states identical within each mode: {identical}")
     return 0 if identical else 1
-
-
-def _cmd_smr_wallclock(args: argparse.Namespace) -> int:
-    """A real threaded cluster on a selectable engine (--engine mp)."""
-    from repro.par.bench import (CLUSTER_KEY_SPACE, MpClusterConfig,
-                                 run_mp_cluster)
-    from repro.smr.cluster import ClusterConfig
-
-    deployment = ClusterConfig(
-        # Speculation rides the sequencer's optimistic delivery.
-        protocol="sequencer" if args.speculative else "paxos",
-        speculative=args.speculative,
-        engine=args.engine,
-        mp_workers=args.mp_workers,
-        workers=args.workers,
-        cos_algorithm=args.algorithm,
-        # Scale the list to the key space so ``contains`` walks are real
-        # CPU work — the thing the mp engine parallelizes.
-        service_kwargs={"initial_size": CLUSTER_KEY_SPACE},
-    )
-    config = MpClusterConfig(
-        deployment=deployment,
-        write_pct=args.write_pct,
-        key_dist=args.key_dist,
-        zipf_s=args.zipf_s,
-        seed=args.seed,
-        ops=args.measure_ops,
-        n_clients=min(args.clients, 16),
-    )
-    stats = run_mp_cluster(config)
-    print(f"engine={args.engine} algorithm={args.algorithm} "
-          f"mp_workers={args.mp_workers} writes={args.write_pct}% "
-          f"clients={config.n_clients}")
-    print(f"throughput: {stats.throughput:,.0f} cmds/s wall clock   "
-          f"batch latency: mean {stats.latency_mean * 1e3:.1f} ms / "
-          f"p99 {stats.latency_quantile(0.99) * 1e3:.1f} ms   "
-          f"({stats.executed} executed, {stats.errors} timed out)")
-    return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

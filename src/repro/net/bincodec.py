@@ -33,9 +33,10 @@ docs/wire.md for the fail-fast rules); the version byte rejects frames
 from a future tag assignment.
 
 Error contract: whatever cannot be encoded — an unregistered class, an
-arbitrary object, a non-finite float — and whatever malformed body a peer
-sends fails as :class:`~repro.net.codec.CodecError`, never as another
-exception.
+arbitrary object, a non-finite float, a value that contains itself or
+nests past the interpreter's recursion limit — and whatever malformed body
+a peer sends fails as :class:`~repro.net.codec.CodecError`, never as
+another exception.
 """
 
 from __future__ import annotations
@@ -142,8 +143,19 @@ def _zigzag_decode(value: int) -> int:
 def dumps(obj: Any) -> bytes:
     """Encode one value to its binary body (no frame header)."""
     out = bytearray()
-    _encode(out, obj)
+    _encode_top(out, obj)
     return bytes(out)
+
+
+def _encode_top(out: bytearray, obj: Any) -> None:
+    """:func:`_encode` with its one non-``CodecError`` failure translated:
+    a value that contains itself, or nests past the recursion limit,
+    recurses until ``RecursionError``."""
+    try:
+        _encode(out, obj)
+    except RecursionError:
+        raise CodecError(
+            "value nests too deeply (or contains itself)") from None
 
 
 def _encode(out: bytearray, obj: Any) -> None:
@@ -413,7 +425,7 @@ def encode_frame(src: int, msg: Any) -> bytes:
         raise CodecError(f"frame src must be an int, got {src!r}")
     body = bytearray()
     _write_uvarint(body, _zigzag_encode(src))
-    _encode(body, msg)
+    _encode_top(body, msg)
     if len(body) > MAX_FRAME:
         raise CodecError(f"frame of {len(body)} bytes exceeds {MAX_FRAME}")
     return HEADER.pack(MAGIC, WIRE_VERSION, len(body)) + bytes(body)

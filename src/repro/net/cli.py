@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
@@ -157,12 +156,18 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
+    import itertools
+    from types import SimpleNamespace
+
     from repro.net.client import NetClient
-    from repro.smr.client import ClientTimeout
+    from repro.smr.client import run_closed_loop
     from repro.workload import WorkloadGenerator
 
     config = _load_config(args.config)
     if config is None:
+        return 2
+    if args.batch < 1:
+        print("--batch must be >= 1", file=sys.stderr)
         return 2
     if config.n_groups < 2 and args.cross > 0:
         print(f"config {args.config} has n_groups={config.n_groups}; "
@@ -174,29 +179,24 @@ def _cmd_client(args: argparse.Namespace) -> int:
         n_partitions=config.n_groups if args.cross > 0 else None,
         keys_per_cross=args.keys_per_cross,
     )
+    commands = workload.commands(args.ops)
+    pending = iter(commands)
+    # Whole batches of --batch, the last one cut short at --ops.
+    feed = SimpleNamespace(
+        commands=lambda n: list(itertools.islice(pending, n)))
     client = NetClient("cli-client", config, contact=args.contact)
-    executed = 0
-    cross_sent = 0
-    errors = 0
-    started = time.monotonic()
     try:
-        while executed < args.ops:
-            commands = workload.commands(min(args.batch,
-                                             args.ops - executed))
-            cross_sent += sum(1 for c in commands if len(c.args) > 1)
-            try:
-                client.execute_batch(commands)
-                executed += len(commands)
-            except ClientTimeout:
-                errors += len(commands)
+        stats = run_closed_loop([client], [feed],
+                                batches=-(-args.ops // args.batch),
+                                batch=args.batch)
     finally:
         client.close()
-    elapsed = time.monotonic() - started
-    rate = executed / elapsed if elapsed > 0 else 0.0
+    cross_sent = sum(1 for c in commands if len(c.args) > 1)
     crossed = f"{cross_sent} cross-partition, " if args.cross > 0 else ""
-    print(f"executed {executed} commands in {elapsed:.2f}s "
-          f"({rate:.0f} cmds/s), {crossed}{errors} timed out")
-    return 0 if errors == 0 else 1
+    print(f"executed {stats.executed} commands in {stats.duration:.2f}s "
+          f"({stats.throughput:.0f} cmds/s), {crossed}{stats.errors} "
+          f"timed out")
+    return 0 if stats.errors == 0 else 1
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -4,22 +4,22 @@ The package turns a :class:`~repro.smr.replica.ParallelReplica` into a
 true multi-core executor without touching the scheduler or the COS: the
 replica's worker threads become dispatchers that hand ready commands to
 shard worker *processes* over queues and block — GIL released — while the
-shards compute in parallel.  See docs/parallel_execution.md.
+shards compute in parallel.  A deployment selects it with
+``DeploymentSpec.engine = "mp"``.  See docs/parallel_execution.md.
 
 Public surface:
 
 - :class:`MpService` — the engine, a drop-in ``Service``;
-- :class:`MpEngineConfig` — tunables (start method, timeouts);
 - :class:`ShardRouter` — command → shard-set resolution;
-- :func:`run_mp_bench` / configs — the ``"mp"`` benchmark backend.
+- :func:`default_start_method` — the ``multiprocessing`` start method it
+  uses (its timeouts are constants in :mod:`repro.par.config`).
 """
 
-from repro.par.config import MpEngineConfig, default_start_method
+from repro.par.config import default_start_method
 from repro.par.engine import MpService
 from repro.par.shard import ShardRouter
 
 __all__ = [
-    "MpEngineConfig",
     "MpService",
     "ShardRouter",
     "default_start_method",

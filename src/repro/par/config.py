@@ -1,62 +1,31 @@
-"""Configuration of the multiprocess execution engine.
+"""Constants of the multiprocess execution engine.
 
-Kept in its own module so deployment configs (``repro.net``), benchmarks
-and tests share one validated parameter set.
+Module-level, not a config object: no deployment passes its own, and a
+test that needs a shorter wait monkeypatches the constant.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
-from typing import Optional
 
-from repro.errors import ConfigurationError
+__all__ = ["DISPATCH_TIMEOUT", "READY_TIMEOUT", "STOP_TIMEOUT",
+           "default_start_method"]
 
-__all__ = ["MpEngineConfig", "default_start_method"]
+#: Seconds a dispatcher thread waits for a shard worker's response before
+#: declaring the shard crashed.
+DISPATCH_TIMEOUT = 30.0
+#: Seconds to wait for every worker's readiness ping at startup.
+READY_TIMEOUT = 15.0
+#: Seconds to wait for workers to drain and exit on shutdown before they
+#: are terminated.
+STOP_TIMEOUT = 5.0
 
 
 def default_start_method() -> str:
     """``fork`` where available (fast, no re-import), else ``spawn``.
 
     The engine forks before any dispatcher thread touches its queues, so
-    the classic fork-with-threads hazards do not apply to engine state;
-    ``spawn`` remains selectable for platforms and embeddings where
-    forking is unsafe.
+    the classic fork-with-threads hazards do not apply to engine state.
     """
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
-
-
-@dataclass(frozen=True)
-class MpEngineConfig:
-    """Tunables of one :class:`~repro.par.engine.MpService` instance.
-
-    Attributes:
-        start_method: ``multiprocessing`` start method (``None`` = auto:
-            :func:`default_start_method`).
-        dispatch_timeout: Seconds a dispatcher thread waits for a shard
-            worker's response before declaring the shard crashed.
-        ready_timeout: Seconds to wait for every worker's readiness ping
-            at startup.
-        stop_timeout: Seconds to wait for workers to drain and exit on
-            shutdown before they are terminated.
-    """
-
-    start_method: Optional[str] = None
-    dispatch_timeout: float = 30.0
-    ready_timeout: float = 15.0
-    stop_timeout: float = 5.0
-
-    def validate(self) -> None:
-        if self.start_method is not None:
-            methods = multiprocessing.get_all_start_methods()
-            if self.start_method not in methods:
-                raise ConfigurationError(
-                    f"start_method {self.start_method!r} not available; "
-                    f"choose from {methods}")
-        for name in ("dispatch_timeout", "ready_timeout", "stop_timeout"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be > 0")
-
-    def resolved_start_method(self) -> str:
-        return self.start_method or default_start_method()

@@ -20,16 +20,15 @@ import itertools
 import multiprocessing
 import queue as queue_module
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ShardCrashed, ShardError, ShutdownError
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
-from repro.par.config import MpEngineConfig
+from repro.par import config
 from repro.par.worker import (
     ERR,
     EXEC_MANY,
     INSTALL,
-    OK,
     PING,
     STOP,
     shard_worker_main,
@@ -76,13 +75,11 @@ class MpDispatcher:
         service_name: str,
         service_kwargs: Dict[str, Any],
         n_shards: int,
-        config: MpEngineConfig,
         registry: Optional[MetricsRegistry] = None,
     ):
         self._service_name = service_name
         self._service_kwargs = dict(service_kwargs)
         self.n_shards = n_shards
-        self._config = config
         registry = registry if registry is not None else NULL_REGISTRY
         self._depth_gauges = [
             registry.gauge("mp_queue_depth", shard=str(shard))
@@ -107,8 +104,7 @@ class MpDispatcher:
         if self._started:
             raise ShutdownError("dispatcher already started")
         self._started = True
-        ctx = multiprocessing.get_context(
-            self._config.resolved_start_method())
+        ctx = multiprocessing.get_context(config.default_start_method())
         self._reply_queue = ctx.Queue()
         for shard in range(self.n_shards):
             request_queue = ctx.Queue()
@@ -130,7 +126,7 @@ class MpDispatcher:
         # Readiness: every worker must answer a ping (this also surfaces
         # spawn-time import errors as a clean ShardCrashed).
         for shard in range(self.n_shards):
-            self.request(shard, PING, timeout=self._config.ready_timeout)
+            self.request(shard, PING, timeout=config.READY_TIMEOUT)
 
     def stop(self) -> None:
         """Drain and join workers; idempotent."""
@@ -141,19 +137,19 @@ class MpDispatcher:
             for shard in range(self.n_shards):
                 try:
                     seq = self._submit(shard, STOP, None)
-                    self._await(seq, shard, self._config.stop_timeout)
+                    self._await(seq, shard, config.STOP_TIMEOUT)
                 except (ShardError, ShutdownError):
                     pass  # already dead or wedged; terminated below
         # Only now may the collector exit: the stop acks above still had to
         # flow through it.
         self._closing.set()
         for process in self._processes:
-            process.join(self._config.stop_timeout)
+            process.join(config.STOP_TIMEOUT)
             if process.is_alive():
                 process.terminate()
                 process.join(1.0)
         if self._collector is not None:
-            self._collector.join(self._config.stop_timeout)
+            self._collector.join(config.STOP_TIMEOUT)
         for request_queue in self._request_queues:
             request_queue.close()
         if self._reply_queue is not None:
@@ -224,7 +220,7 @@ class MpDispatcher:
     def _await(self, seq: int, shard: int,
                timeout: Optional[float]) -> Any:
         timeout = timeout if timeout is not None else (
-            self._config.dispatch_timeout)
+            config.DISPATCH_TIMEOUT)
         with self._pending_lock:
             slot = self._pending.get(seq)
         if slot is None:  # already failed and cleared by a crash

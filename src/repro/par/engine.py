@@ -26,7 +26,6 @@ from repro.core.command import Command, ConflictRelation
 from repro.errors import ConfigurationError, ShardError, ShutdownError
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.par.barrier import BarrierCoordinator
-from repro.par.config import MpEngineConfig
 from repro.par.dispatcher import MpDispatcher
 from repro.par.shard import ShardRouter
 from repro.par.worker import EXEC, RESTORE, SNAPSHOT
@@ -43,7 +42,6 @@ class MpService(ShardableService):
         service: str,
         service_kwargs: Optional[Dict[str, Any]] = None,
         workers: int = 2,
-        config: Optional[MpEngineConfig] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
         """Args:
@@ -52,14 +50,11 @@ class MpService(ShardableService):
             service_kwargs: Overrides for the service factory (e.g.
                 ``{"initial_size": 10000}`` for the linked list).
             workers: Number of shard worker processes (= state shards).
-            config: Engine tunables (start method, timeouts).
             registry: Observability sink (per-shard busy time, dispatch
                 latency, queue depths, barrier stalls).
         """
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self._config = config if config is not None else MpEngineConfig()
-        self._config.validate()
         self.service_name = service
         self.service_kwargs = dict(service_kwargs or {})
         self.workers = workers
@@ -82,7 +77,7 @@ class MpService(ShardableService):
             for shard in range(workers)
         ]
         self._dispatcher = MpDispatcher(
-            service, self.service_kwargs, workers, self._config, obs)
+            service, self.service_kwargs, workers, obs)
         self._barrier = BarrierCoordinator(
             self._dispatcher,
             build_service(service, **self.service_kwargs),

@@ -162,27 +162,32 @@ def run_closed_loop(clients: Sequence[Any], workloads: Sequence[Any],
                     meanwhile: Optional[Callable[[], None]] = None,
                     ) -> ClosedLoopStats:
     """Run ``clients[i]`` over ``workloads[i]`` on one thread each:
-    ``batches`` requests of ``batch`` commands, the next sent when the
-    previous is answered or has timed out.  ``observe(index, client,
-    commands, started)`` runs before a batch is sent and what it returns is
-    called with the finish time once the batch is answered; ``meanwhile``
-    runs on the calling thread while the clients work (fault injection)."""
+    ``batches`` requests of ``workload.commands(batch)`` (a workload may
+    return fewer), the next sent when the previous is answered or has
+    timed out.  ``observe(index, client, commands, started)`` runs before
+    a batch is sent and what it returns is called with the finish time
+    once the batch is answered; ``meanwhile`` runs on the calling thread
+    while the clients work (fault injection)."""
     per_client: List[List[float]] = [[] for _ in clients]
+    sent = [0] * len(clients)
+    answered = [0] * len(clients)
 
     def client_loop(index: int) -> None:
         client, workload = clients[index], workloads[index]
         for _ in range(batches):
             commands = workload.commands(batch)
+            sent[index] += len(commands)
             started = time.monotonic()
-            answered = (observe(index, client, commands, started)
-                        if observe is not None else None)
+            on_answer = (observe(index, client, commands, started)
+                         if observe is not None else None)
             try:
                 client.execute_batch(commands)
             except ClientTimeout:
                 continue
             finished = time.monotonic()
-            if answered is not None:
-                answered(finished)
+            if on_answer is not None:
+                on_answer(finished)
+            answered[index] += len(commands)
             per_client[index].append(finished - started)
 
     threads = [threading.Thread(target=client_loop, args=(index,),
@@ -197,6 +202,6 @@ def run_closed_loop(clients: Sequence[Any], workloads: Sequence[Any],
         thread.join()
     duration = time.monotonic() - started
     latencies = sorted(latency for own in per_client for latency in own)
-    timed_out = batches * len(clients) - len(latencies)
-    return ClosedLoopStats(len(latencies) * batch, timed_out * batch,
-                           duration, tuple(latencies))
+    executed = sum(answered)
+    return ClosedLoopStats(executed, sum(sent) - executed, duration,
+                           tuple(latencies))

@@ -86,15 +86,12 @@ class ParallelReplica:
         max_graph_size: int = DEFAULT_MAX_SIZE,
         on_response: Optional[ResponseCallback] = None,
         registry: Optional[MetricsRegistry] = None,
-        dispatch_batch: Optional[int] = None,
         dedup_window: int = 0,
     ):
-        """``dispatch_batch`` caps how many simultaneously-ready commands
-        one worker drains from the COS and hands to the service in a
-        single ``execute_many`` call (engines that implement it — the mp
-        engine moves the whole batch over one queue hop).  ``None`` picks
-        16 when the service supports batching, else 1; services without
-        ``execute_many`` always run command-at-a-time.
+        """A worker drains up to :attr:`dispatch_batch` simultaneously-ready
+        commands from the COS and hands them to the service in a single
+        ``execute_many`` call: 16 when the service implements it (the mp
+        engine moves the whole batch over one queue hop), else 1.
 
         ``cos_algorithm="sequential"`` is classic SMR: strict delivery-order
         execution, so ``workers`` and ``dispatch_batch`` are both pinned to
@@ -109,9 +106,6 @@ class ParallelReplica:
         in-flight request count."""
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if dispatch_batch is not None and dispatch_batch < 1:
-            raise ValueError(
-                f"dispatch_batch must be >= 1, got {dispatch_batch}")
         if dedup_window < 0:
             raise ValueError(
                 f"dedup_window must be >= 0, got {dedup_window}")
@@ -123,17 +117,15 @@ class ParallelReplica:
         hint = getattr(service, "dispatch_parallelism", None)
         if hint is not None:
             workers = max(workers, int(hint))
-        if cos_algorithm == "sequential":
-            workers = dispatch_batch = 1
+        sequential = cos_algorithm == "sequential"
+        if sequential:
+            workers = 1
         self.replica_id = replica_id
         self.service = service
         self.workers = workers
         self._execute_many = getattr(service, "execute_many", None)
-        if self._execute_many is None:
-            self.dispatch_batch = 1
-        else:
-            self.dispatch_batch = (16 if dispatch_batch is None
-                                   else dispatch_batch)
+        self.dispatch_batch = (
+            1 if sequential or self._execute_many is None else 16)
         self._on_response = on_response
         self.registry = registry if registry is not None else NULL_REGISTRY
         obs = self.registry

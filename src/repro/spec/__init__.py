@@ -1,4 +1,4 @@
-"""Optimistic (speculative) execution pipeline — ROADMAP item 4.
+"""Optimistic (speculative) execution pipeline.
 
 Implements the *Optimistic Parallel State-Machine Replication* idea
 (PAPERS.md, arXiv 1404.6721) on top of the existing replica machinery:

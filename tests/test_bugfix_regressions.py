@@ -108,7 +108,6 @@ from repro.core.command import Command, ReadWriteConflicts
 from repro.core.threaded import ThreadedRuntime
 from repro.errors import ConfigurationError, ShardCrashed, ShutdownError
 from repro.net.transport import TcpTransport
-from repro.par.config import MpEngineConfig
 from repro.par.dispatcher import (
     _REPLY_FAILURE_LIMIT,
     MpDispatcher,
@@ -506,7 +505,7 @@ def _dispatcher(n_shards: int = 1) -> MpDispatcher:
     The constructor is cheap (processes spawn in ``start()``), so unit
     tests can poke ``_await`` / ``_collector_loop`` directly.
     """
-    return MpDispatcher("kv", {}, n_shards, MpEngineConfig())
+    return MpDispatcher("kv", {}, n_shards)
 
 
 class TestAwaitTimeoutRace:
@@ -820,7 +819,7 @@ class TestPoisonGaugeReconciliation:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-        dispatcher = MpDispatcher("kv", {}, 2, MpEngineConfig(), registry)
+        dispatcher = MpDispatcher("kv", {}, 2, registry)
         dispatcher._started = True
         # In-memory request queues: no worker ever answers, so wait()
         # times out and poisons every outstanding slot.

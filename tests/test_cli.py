@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -49,32 +50,22 @@ class TestSmr:
 
 
 class TestMpEngine:
-    def test_standalone_mp(self, capsys):
-        code = main(["standalone", "--engine", "mp", "--mp-workers", "2",
-                     "--measure-ops", "150"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "engine=mp" in out
-        assert "cmds/s wall clock" in out
-
-    def test_standalone_threaded_wallclock(self, capsys):
-        assert main(["standalone", "--engine", "threaded", "--workers", "2",
-                     "--measure-ops", "150"]) == 0
-        assert "engine=threaded" in capsys.readouterr().out
+    """The mp engine is a deployment's engine (``net supervise|bench
+    --engine mp``); ``standalone`` and ``smr`` run the simulator only."""
 
     def test_standalone_zipf(self, capsys):
         assert main(["standalone", "--key-dist", "zipf", "--zipf-s", "1.2",
                      "--measure-ops", "400"]) == 0
 
     def test_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
-            main(["standalone", "--engine", "gpu"])
-
-    def test_smr_mp(self, capsys):
-        code = main(["smr", "--engine", "mp", "--mp-workers", "2",
-                     "--clients", "4", "--measure-ops", "120"])
-        assert code == 0
-        assert "engine=mp" in capsys.readouterr().out
+        for argv in (["standalone", "--engine", "mp"],
+                     ["standalone", "--mp-workers", "2"],
+                     ["smr", "--engine", "mp"],
+                     ["smr", "--mp-workers", "2"],
+                     ["smr", "--key-dist", "zipf"],
+                     ["smr", "--zipf-s", "1.2"]):
+            with pytest.raises(SystemExit):
+                main(argv)
 
     def test_net_parser_accepts_engine_flags(self):
         from repro.cli import _build_parser
@@ -199,6 +190,36 @@ class TestNetCli:
                      "--cross", "0.5"]) == 2
         assert "--cross needs a partitioned deployment" in (
             capsys.readouterr().err)
+
+    def test_client_refuses_an_empty_batch(self, tmp_path, capsys):
+        from repro.net.config import loopback_config
+
+        path = tmp_path / "single.json"
+        path.write_text(loopback_config(3).to_json())
+        assert main(["net", "client", "--config", str(path),
+                     "--batch", "0"]) == 2
+        assert "--batch must be >= 1" in capsys.readouterr().err
+
+    def test_client_reports_its_closed_loop(self, tmp_path, capsys):
+        from repro.net.cluster import TcpCluster
+        from repro.net.config import loopback_config
+        from repro.workload import WorkloadGenerator
+
+        config = loopback_config(3, n_groups=2, service="linked-list-keyed")
+        path = tmp_path / "grouped.json"
+        path.write_text(config.to_json())
+        with TcpCluster(config):
+            # 30 is not a multiple of --batch: the last batch is short.
+            assert main(["net", "client", "--config", str(path),
+                         "--ops", "30", "--batch", "8", "--cross",
+                         "0.25"]) == 0
+        cross = sum(len(command.args) > 1 for command in WorkloadGenerator(
+            30.0, key_space=500, seed=1, cross_partition_fraction=0.25,
+            n_partitions=2).commands(30))
+        assert re.fullmatch(
+            rf"executed 30 commands in \d+\.\d\ds \(\d+ cmds/s\), "
+            rf"{cross} cross-partition, 0 timed out\n",
+            capsys.readouterr().out)
 
 
 class TestFigures:

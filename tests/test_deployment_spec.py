@@ -13,7 +13,6 @@ from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.net.bench import NetBenchConfig
 from repro.net.config import NetConfig, loopback_config
-from repro.par.bench import MpClusterConfig
 from repro.smr.cluster import ClusterConfig
 from repro.smr.deployment import DeploymentSpec
 
@@ -84,15 +83,14 @@ class TestDeclaredOnce:
         for cls in (ClusterConfig, NetConfig):
             assert not shared & (set(cls.__annotations__) - {"n_replicas"})
             assert shared < {f.name for f in fields(cls)}
-        for cls in (NetBenchConfig, MpClusterConfig):
-            assert shared.isdisjoint(f.name for f in fields(cls))
-            assert "deployment" in cls.__annotations__
+        assert shared.isdisjoint(f.name for f in fields(NetBenchConfig))
+        assert "deployment" in NetBenchConfig.__annotations__
 
     def test_field_count_stays_down(self):
         # 88 across the four config classes before there was a spec.
         assert sum(len(cls.__annotations__) for cls in (
-            DeploymentSpec, ClusterConfig, NetConfig, NetBenchConfig,
-            MpClusterConfig)) <= 52
+            DeploymentSpec, ClusterConfig, NetConfig,
+            NetBenchConfig)) <= 52
 
     def test_positional_construction_is_refused(self):
         with pytest.raises(TypeError):

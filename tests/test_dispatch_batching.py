@@ -26,7 +26,7 @@ from repro.core.command import Command
 from repro.core.threaded import ThreadedCOS, ThreadedRuntime
 from repro.errors import ShardError
 from repro.obs.registry import MetricsRegistry
-from repro.par import MpEngineConfig, MpService
+from repro.par import MpService
 from repro.par.dispatcher import MpDispatcher
 from repro.smr.replica import ParallelReplica
 
@@ -160,14 +160,14 @@ class TestGetBatch:
 class TestDispatcherBatches:
 
     def test_submit_many_rejects_empty_batch(self):
-        dispatcher = MpDispatcher("kv", {}, 1, MpEngineConfig())
+        dispatcher = MpDispatcher("kv", {}, 1)
         dispatcher._started = True
         with pytest.raises(ShardError):
             dispatcher.submit_many(0, [])
 
     def test_request_many_roundtrip_and_order(self):
         registry = MetricsRegistry()
-        dispatcher = MpDispatcher("kv", {}, 1, MpEngineConfig(), registry)
+        dispatcher = MpDispatcher("kv", {}, 1, registry)
         dispatcher.start()
         try:
             commands = [KVStoreService.put(f"k{i}", i) for i in range(6)]
@@ -184,7 +184,7 @@ class TestDispatcherBatches:
         assert histogram.sum == 12
 
     def test_request_many_isolates_per_command_errors(self):
-        dispatcher = MpDispatcher("kv", {}, 1, MpEngineConfig())
+        dispatcher = MpDispatcher("kv", {}, 1)
         dispatcher.start()
         try:
             outcomes, _ = dispatcher.request_many(0, [
@@ -243,13 +243,11 @@ class TestEngineExecuteMany:
 
 class TestBatchedReplica:
 
-    def _run_replica(self, dispatch_batch):
+    def _run_replica(self):
         registry = MetricsRegistry()
         engine = MpService("kv", workers=2, registry=registry)
         engine.start()
-        replica = ParallelReplica(
-            0, engine, workers=2, registry=registry,
-            dispatch_batch=dispatch_batch)
+        replica = ParallelReplica(0, engine, workers=2, registry=registry)
         replica.start()
         try:
             commands = [KVStoreService.put(f"key-{i}", i) for i in range(48)]
@@ -267,15 +265,11 @@ class TestBatchedReplica:
         return snapshot, registry
 
     def test_batched_replica_executes_everything(self):
-        snapshot, registry = self._run_replica(dispatch_batch=8)
+        snapshot, registry = self._run_replica()
         assert snapshot == {f"key-{i}": i for i in range(48)}
         histogram = registry.histogram("mp_batch_size")
         assert histogram.count >= 1
         assert histogram.sum >= 48
-
-    def test_dispatch_batch_one_disables_batching(self):
-        snapshot, registry = self._run_replica(dispatch_batch=1)
-        assert snapshot == {f"key-{i}": i for i in range(48)}
 
     def test_default_dispatch_batch_resolution(self):
         engine_like = MpService("kv", workers=2)     # has execute_many
@@ -283,18 +277,14 @@ class TestBatchedReplica:
         assert replica.dispatch_batch == 16
         replica_plain = ParallelReplica(0, KVStoreService(), workers=2)
         assert replica_plain.dispatch_batch == 1
-        replica_capped = ParallelReplica(0, engine_like, workers=2,
-                                         dispatch_batch=4)
-        assert replica_capped.dispatch_batch == 4
-        with pytest.raises(ValueError):
-            ParallelReplica(0, engine_like, workers=2, dispatch_batch=0)
+        with pytest.raises(TypeError):
+            ParallelReplica(0, engine_like, workers=2, dispatch_batch=4)
 
     def test_sequential_replica_never_batches(self):
         # FIFO-queued commands may conflict, so the sequential COS must
         # pin the drain to one command per dispatch even though its
-        # service supports execute_many (and the caller asked for more).
+        # service supports execute_many.
         engine_like = MpService("kv", workers=2)     # has execute_many
-        replica = ParallelReplica(0, engine_like, cos_algorithm="sequential",
-                                  dispatch_batch=8)
+        replica = ParallelReplica(0, engine_like, cos_algorithm="sequential")
         assert replica.dispatch_batch == 1
         assert replica.workers == 1

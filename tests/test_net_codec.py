@@ -34,6 +34,19 @@ def roundtrip(obj):
     return loads(dumps(obj))
 
 
+def self_containing_list():
+    value = []
+    value.append(value)
+    return value
+
+
+def nested_lists(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 class TestValueRoundtrips:
     @pytest.mark.parametrize("value", [
         None, True, False, 0, -7, 2 ** 40, 0.25, "hello", "ünïcode",
@@ -158,6 +171,16 @@ class TestRejections:
             loads(body)
         with pytest.raises(CodecError):
             decode_frame(b"\x00" + body)
+
+    @pytest.mark.parametrize("make", [
+        self_containing_list, lambda: nested_lists(5_000),
+    ], ids=["self-containing", "deep-nesting"])
+    def test_unencodable_structure_is_a_codec_error(self, make):
+        # The encode side of the same contract: not a RecursionError.
+        with pytest.raises(CodecError):
+            dumps(make())
+        with pytest.raises(CodecError):
+            encode_frame(0, make())
 
 
 class TestFrames:

@@ -349,6 +349,25 @@ class TestSemanticsKept:
             left.close()
             right.close()
 
+    def test_unencodable_structure_on_send_reaches_the_sender(self):
+        # A value that contains itself, or nests past the recursion limit,
+        # is a CodecError for the sender too, and the link stays usable.
+        looped = []
+        looped.append(looped)
+        deep = []
+        for _ in range(5_000):
+            deep = [deep]
+        left, right = make_pair()
+        try:
+            for value in (looped, deep):
+                with pytest.raises(CodecError):
+                    left.send(0, 1, value)
+            left.send(0, 1, "still fine")
+            assert right.inbox(1).get(timeout=5) == (0, "still fine")
+        finally:
+            left.close()
+            right.close()
+
     def test_corrupt_peer_loses_its_connection_and_nothing_else(self):
         left, right = make_pair()
         try:

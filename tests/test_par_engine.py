@@ -1,10 +1,10 @@
 """Multiprocess execution engine (repro.par) end-to-end tests.
 
 Covers the engine facade (dispatch, barriers, snapshots, crash handling),
-its integration with :class:`~repro.smr.replica.ParallelReplica`, the full
-mp-engine :class:`~repro.smr.cluster.ThreadedCluster`, and the ``"mp"``
-benchmark backend.  Everything here runs on one CPU — parallel *speedup*
-is benchmarked, not unit-tested (benchmarks/bench_mp_scaling.py).
+its integration with :class:`~repro.smr.replica.ParallelReplica` and the
+full mp-engine :class:`~repro.smr.cluster.ThreadedCluster`.  Everything
+here runs on one CPU — parallel *speedup* is benchmarked, not unit-tested
+(benchmarks/bench_mp_scaling.py).
 """
 
 import os
@@ -18,8 +18,7 @@ from repro.apps.kvstore import KVStoreService
 from repro.core.command import Command
 from repro.errors import ConfigurationError, ShardCrashed, ShardError
 from repro.obs.registry import MetricsRegistry
-from repro.par import MpEngineConfig, MpService
-from repro.par.bench import MpBenchConfig, run_mp_bench
+from repro.par import MpService, config as par_config
 from repro.smr.cluster import ClusterConfig, ThreadedCluster
 from repro.smr.replica import ParallelReplica
 from repro.workload import READ_OP, WRITE_OP
@@ -84,8 +83,6 @@ class TestEngineBasics:
             MpService("kv", workers=0)
         with pytest.raises(ConfigurationError):
             MpService("no-such-service")
-        with pytest.raises(ConfigurationError):
-            MpEngineConfig(start_method="bogus").validate()
 
 
 class TestBarriers:
@@ -127,9 +124,9 @@ class TestFailures:
             assert engine.execute(KVStoreService.put("k", 1)) is None
             assert engine.running
 
-    def test_killed_worker_poisons_engine(self):
-        config = MpEngineConfig(dispatch_timeout=5.0)
-        engine = MpService("kv", workers=2, config=config)
+    def test_killed_worker_poisons_engine(self, monkeypatch):
+        monkeypatch.setattr(par_config, "DISPATCH_TIMEOUT", 5.0)
+        engine = MpService("kv", workers=2)
         engine.start()
         try:
             engine.execute(KVStoreService.put("a", 1))
@@ -225,26 +222,3 @@ class TestClusterIntegration:
         with pytest.raises(ConfigurationError, match="service name"):
             ClusterConfig(engine="mp",
                           service_factory=KVStoreService).validate()
-
-
-class TestBenchBackend:
-    def test_mp_bench_smoke(self):
-        result = run_mp_bench(MpBenchConfig(
-            engine="mp", mp_workers=2, key_space=200,
-            warm_ops=20, measure_ops=120))
-        assert result.executed == 120
-        assert result.throughput > 0
-        assert len(result.shard_busy) == 2
-        payload = result.to_json()
-        assert payload["config"]["engine"] == "mp"
-
-    def test_threaded_baseline_smoke(self):
-        result = run_mp_bench(MpBenchConfig(
-            engine="threaded", workers=2, key_space=200,
-            warm_ops=20, measure_ops=120))
-        assert result.executed == 120
-        assert result.shard_busy == []
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            MpBenchConfig(engine="gpu").validate()
