@@ -23,7 +23,6 @@ from repro.bench.artifact import (bench_environment, figure_payload,
                                   write_bench_json)
 from repro.bench.harness import (StandaloneConfig, StandaloneResult,
                                  run_standalone)
-from repro.bench.export import figure_to_csv, write_figure_csv
 from repro.bench.plot import plot_figure, plot_panel
 from repro.bench.report import format_figure, print_figure
 
@@ -45,10 +44,8 @@ __all__ = [
     "WORKER_COUNTS",
     "WRITE_PCTS",
     "format_figure",
-    "figure_to_csv",
     "plot_figure",
     "plot_panel",
-    "write_figure_csv",
     "print_figure",
     "ablation_graph_size",
     "ablation_batch_size",

@@ -124,6 +124,18 @@ class ThreadedNode:
     # ----------------------------------------------------------- event loop
 
     def _run(self) -> None:
+        try:
+            self._loop()
+        except ShutdownError:
+            # ``stop()`` may land mid-step, and the owner may close the
+            # transport before this thread reaches the stop sentinel: the
+            # step's sends then find it closed.  That is the requested
+            # shutdown, not a fault.  A transport closed under a node that
+            # was not stopped still fails the thread.
+            if not self._stopped.is_set():
+                raise
+
+    def _loop(self) -> None:
         self._step(self.protocol.start())
         while True:
             timeout = self._until_next_timer()

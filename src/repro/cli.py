@@ -12,12 +12,12 @@ Subcommands:
 - ``check --algorithm A --workers N --commands M [...]`` — systematically
   model-check the algorithm's schedule space against the COS sequential
   specification (see ``docs/model_checking.md``).
-- ``net replica|supervise|client|bench [...]`` — the TCP multi-process
-  deployment: replica/client processes, a local cluster supervisor, and a
-  loopback benchmark (see ``docs/deployment.md``).  This is the one
-  wall-clock path: a replica on the multiprocess engine is a deployment
-  with ``--engine mp`` (``net bench --engine mp``), not a flag of
-  ``standalone`` or ``smr``.
+- ``net replica|supervise|client [...]`` — the TCP multi-process
+  deployment: replica/client processes and a local cluster supervisor
+  (see ``docs/deployment.md``).  This is the one wall-clock path: a
+  replica on the multiprocess engine is a deployment with ``--engine mp``
+  (``net supervise --engine mp``), not a flag of ``standalone`` or
+  ``smr``; ``benchmarks/e2e/run.py`` times a deployment.
 
 Each handler imports the stack it runs when it runs (``check`` loads no
 figure harness, ``figures`` no model checker); ``python -m repro net ...``

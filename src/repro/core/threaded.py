@@ -324,19 +324,6 @@ class ThreadedCOS:
         """
         return self._direct.try_get()
 
-    def get_batch(self, max_size: int) -> list:
-        """One blocking :meth:`get` plus up to ``max_size - 1`` ready
-        handles drained without blocking.  Commands behind the returned
-        handles are pairwise non-conflicting (they are all simultaneously
-        ready), so they may be executed in any order — or batched."""
-        handles = [self.get()]
-        while len(handles) < max_size:
-            handle = self.try_get()
-            if handle is None:
-                break
-            handles.append(handle)
-        return handles
-
     def remove(self, handle: Any) -> None:
         self._direct.remove(handle)
 

@@ -27,8 +27,9 @@ Layers:
 - :mod:`repro.net.supervisor` — :class:`Supervisor`: runs one OS process
   per replica, forked by one fork server (:mod:`repro.net.forkserver`),
   and manages crash/restart.
-- :mod:`repro.net.bench` — loopback throughput/latency benchmark writing a
-  JSON artifact (``python -m repro net bench``).
+
+``python -m repro net supervise`` plus ``python -m repro net client`` load
+a deployment by hand; ``benchmarks/e2e/run.py`` times one.
 """
 
 import importlib
@@ -36,7 +37,7 @@ from typing import Any
 
 #: Public name -> defining submodule.  Resolved on first use (PEP 562): a
 #: replica process imports :mod:`repro.net.replica` without the client,
-#: supervisor, loopback-cluster and bench stacks it never runs.
+#: supervisor and loopback-cluster stacks it never runs.
 _EXPORTS = {
     "CodecError": "codec",
     "ClientRequest": "messages",

@@ -1,4 +1,4 @@
-"""``python -m repro net <replica|client|bench|supervise>``.
+"""``python -m repro net <replica|client|supervise>``.
 
 Subcommands:
 
@@ -12,20 +12,21 @@ Subcommands:
   config file path so clients can join.
 - ``client --config FILE --ops N [--cross F] [...]`` — run a closed-loop
   client batch workload against a running cluster and print throughput;
-  ``--cross`` makes that fraction of the commands span partitions.
-- ``bench [...] --out FILE`` — full loopback benchmark: spawn processes,
-  drive clients, optionally crash/recover one replica, write the JSON
-  artifact (see :mod:`repro.net.bench`).
+  ``--cross`` makes that fraction of the commands span partitions.  Any
+  number of clients may run against one cluster at once.
+
+The wall-clock benchmark of a deployment is ``benchmarks/e2e/run.py``.
 
 ``python -m repro net ...`` lands in :func:`main` without going through
 :mod:`repro.cli`, and each handler imports what it runs when it runs: a
-``net replica`` process loads a replica, not the client, supervisor, bench
-and figure stacks (tests/test_import_budget.py holds the line).
+``net replica`` process loads a replica, not the client, supervisor and
+figure stacks (tests/test_import_budget.py holds the line).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -63,8 +64,8 @@ def _load_config(path: str) -> Optional[NetConfig]:
         return None
 
 
-_NET_HELP = ("TCP deployment: replica/client processes, supervisor, "
-             "loopback bench (docs/deployment.md)")
+_NET_HELP = ("TCP deployment: replica/client processes and their "
+             "supervisor (docs/deployment.md)")
 
 
 def add_net_parser(sub: argparse._SubParsersAction) -> None:
@@ -103,24 +104,6 @@ def _add_subcommands(net: argparse.ArgumentParser) -> None:
                              "cross-partition command")
     client.add_argument("--contact", type=int, default=0)
     client.add_argument("--seed", type=int, default=1)
-
-    bench = net_sub.add_parser(
-        "bench", help="loopback throughput/latency benchmark -> JSON")
-    _add_deployment_options(bench)
-    bench.add_argument("--clients", type=int, default=4)
-    bench.add_argument("--ops", type=int, default=400)
-    bench.add_argument("--batch", type=int, default=8)
-    bench.add_argument("--write-pct", type=float, default=30.0)
-    bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--crash", action="store_true",
-                       help="crash-stop replica n-1 mid-run and recover it")
-    bench.add_argument("--out", default="repro-net-bench.json",
-                       help="JSON artifact path")
-    bench.add_argument("--trace", action="store_true",
-                       help="record client-side per-command spans "
-                            "(docs/observability.md)")
-    bench.add_argument("--trace-out", default="repro-net-trace.jsonl",
-                       help="span log path (JSONL) when --trace is on")
 
 
 def _cmd_replica(args: argparse.Namespace) -> int:
@@ -184,7 +167,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
     # Whole batches of --batch, the last one cut short at --ops.
     feed = SimpleNamespace(
         commands=lambda n: list(itertools.islice(pending, n)))
-    client = NetClient("cli-client", config, contact=args.contact)
+    client = NetClient(_client_id(), config, contact=args.contact)
     try:
         stats = run_closed_loop([client], [feed],
                                 batches=-(-args.ops // args.batch),
@@ -199,37 +182,12 @@ def _cmd_client(args: argparse.Namespace) -> int:
     return 0 if stats.errors == 0 else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.net.bench import NetBenchConfig, run_net_bench
-
-    config = NetBenchConfig(
-        deployment=_loopback_from_args(args),
-        n_clients=args.clients,
-        batch=args.batch,
-        ops=args.ops,
-        write_pct=args.write_pct,
-        seed=args.seed,
-        crash_replica=args.replicas - 1 if args.crash else None,
-        trace_path=args.trace_out if args.trace else None,
-    )
-    result = run_net_bench(config, out_path=args.out)
-    print(f"replicas={args.replicas} clients={args.clients} "
-          f"algorithm={args.cos_algorithm} service={args.service}")
-    print(f"throughput: {result.throughput:.0f} cmds/s over "
-          f"{result.duration:.2f}s ({result.executed} executed, "
-          f"{result.errors} timed out)")
-    print(f"batch latency: mean {result.latency_mean * 1e3:.1f} ms / "
-          f"p50 {result.latency_p50 * 1e3:.1f} ms / "
-          f"p99 {result.latency_p99 * 1e3:.1f} ms")
-    print(f"fig6 point: {result.fig6_point['throughput_kops']:.2f} kops/s "
-          f"at {result.fig6_point['latency_ms']:.1f} ms")
-    if config.crash_replica is not None:
-        print(f"crash injected: replica {config.crash_replica} (recovered)")
-    if config.trace_path is not None:
-        print(f"{result.trace_events} span events written to "
-              f"{config.trace_path}")
-    print(f"artifact written to {args.out}")
-    return 0
+def _client_id() -> str:
+    """A client id no other ``net client`` process shares.  Replicas dedup
+    by client id, so a shared one would have a client's requests answered
+    from another's cache, whether the two run at once or one after the
+    other."""
+    return f"cli-{os.getpid()}-{os.urandom(4).hex()}"
 
 
 def run_net(args: argparse.Namespace) -> int:
@@ -237,7 +195,6 @@ def run_net(args: argparse.Namespace) -> int:
         "replica": _cmd_replica,
         "supervise": _cmd_supervise,
         "client": _cmd_client,
-        "bench": _cmd_bench,
     }
     return handlers[args.net_command](args)
 

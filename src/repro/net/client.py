@@ -7,18 +7,19 @@ wraps the unchanged :class:`~repro.smr.client.Client` retry/batching logic:
 contact replica, and received :class:`~repro.net.messages.ClientResponse`
 frames feed ``deliver_response``.
 
-Client transport node ids live above the replica id range; pick them with
-:meth:`NetClient.next_node_id` (one process) or hand them out explicitly
-(many processes).
+A client's transport node id is its reply endpoint packed into one int
+above the replica id range.  No two live clients of a deployment listen on
+one endpoint, so none share a node id, whether they run in one process or
+in many.
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
+import ipaddress
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.command import Command
+from repro.errors import ConfigurationError
 from repro.net.config import NetConfig, free_port
 from repro.net.messages import ClientRequest, ClientResponse
 from repro.net.transport import TcpTransport
@@ -29,9 +30,6 @@ __all__ = ["NetClient"]
 #: Client node ids start well above any realistic replica count.
 CLIENT_ID_BASE = 1_000
 
-_client_node_ids = itertools.count(CLIENT_ID_BASE)
-_client_node_lock = threading.Lock()
-
 
 class NetClient:
     """Blocking client of a TCP cluster."""
@@ -40,18 +38,22 @@ class NetClient:
         self,
         client_id: str,
         config: NetConfig,
-        node_id: Optional[int] = None,
         contact: int = 0,
         timeout: Optional[float] = None,
         max_retries: int = 5,
         host: str = "127.0.0.1",
         port: Optional[int] = None,
     ):
+        try:
+            ip = int(ipaddress.ip_address(host))
+        except ValueError:
+            raise ConfigurationError(
+                f"client host must be an IP address, got {host!r}") from None
         self.client_id = client_id
         self.config = config
-        self.node_id = self.next_node_id() if node_id is None else node_id
         self._host = host
         self._port = free_port(host) if port is None else port
+        self.node_id = CLIENT_ID_BASE + (ip << 16 | self._port)
         addresses = config.address_map()
         addresses[self.node_id] = (self._host, self._port)
         self.transport = TcpTransport(
@@ -66,11 +68,6 @@ class NetClient:
             timeout=config.client_timeout if timeout is None else timeout,
             max_retries=max_retries,
         )
-
-    @staticmethod
-    def next_node_id() -> int:
-        with _client_node_lock:
-            return next(_client_node_ids)
 
     # ------------------------------------------------------------------ API
 

@@ -10,22 +10,20 @@ contact; replica-side deduplication makes retransmission safe.
 client-side batching interface the paper added to BFT-SMaRt (§7.1).
 
 :func:`run_closed_loop` drives several such clients at once, one thread
-each, and measures them — the paper's §7.1 client model, shared by the
-wall-clock benches of both live runtimes.
+each, and counts what they got answered — the paper's §7.1 client model,
+as ``python -m repro net client`` runs it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import queue
-import statistics
 import threading
 import time
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.core.command import Command
 from repro.errors import ShutdownError
-from repro.obs.stats import quantile
 
 __all__ = ["Client", "ClientTimeout", "ClosedLoopStats", "run_closed_loop"]
 
@@ -142,33 +140,18 @@ class ClosedLoopStats:
     executed: int                     # commands answered
     errors: int                       # commands of batches that timed out
     duration: float
-    latencies: Tuple[float, ...]      # per answered batch, ascending
 
     @property
     def throughput(self) -> float:
         return self.executed / self.duration if self.duration > 0 else 0.0
 
-    @property
-    def latency_mean(self) -> float:
-        return statistics.fmean(self.latencies) if self.latencies else 0.0
-
-    def latency_quantile(self, fraction: float) -> float:
-        return quantile(self.latencies, fraction)
-
 
 def run_closed_loop(clients: Sequence[Any], workloads: Sequence[Any],
-                    batches: int, batch: int,
-                    observe: Optional[Callable[..., Callable]] = None,
-                    meanwhile: Optional[Callable[[], None]] = None,
-                    ) -> ClosedLoopStats:
+                    batches: int, batch: int) -> ClosedLoopStats:
     """Run ``clients[i]`` over ``workloads[i]`` on one thread each:
     ``batches`` requests of ``workload.commands(batch)`` (a workload may
     return fewer), the next sent when the previous is answered or has
-    timed out.  ``observe(index, client, commands, started)`` runs before
-    a batch is sent and what it returns is called with the finish time
-    once the batch is answered; ``meanwhile`` runs on the calling thread
-    while the clients work (fault injection)."""
-    per_client: List[List[float]] = [[] for _ in clients]
+    timed out."""
     sent = [0] * len(clients)
     answered = [0] * len(clients)
 
@@ -177,18 +160,11 @@ def run_closed_loop(clients: Sequence[Any], workloads: Sequence[Any],
         for _ in range(batches):
             commands = workload.commands(batch)
             sent[index] += len(commands)
-            started = time.monotonic()
-            on_answer = (observe(index, client, commands, started)
-                         if observe is not None else None)
             try:
                 client.execute_batch(commands)
             except ClientTimeout:
                 continue
-            finished = time.monotonic()
-            if on_answer is not None:
-                on_answer(finished)
             answered[index] += len(commands)
-            per_client[index].append(finished - started)
 
     threads = [threading.Thread(target=client_loop, args=(index,),
                                 daemon=True)
@@ -196,12 +172,8 @@ def run_closed_loop(clients: Sequence[Any], workloads: Sequence[Any],
     started = time.monotonic()
     for thread in threads:
         thread.start()
-    if meanwhile is not None:
-        meanwhile()
     for thread in threads:
         thread.join()
-    duration = time.monotonic() - started
-    latencies = sorted(latency for own in per_client for latency in own)
     executed = sum(answered)
-    return ClosedLoopStats(executed, sum(sent) - executed, duration,
-                           tuple(latencies))
+    return ClosedLoopStats(executed, sum(sent) - executed,
+                           time.monotonic() - started)

@@ -100,31 +100,6 @@ class TestFigureData:
         assert "->" in text
 
 
-class TestCsvExport:
-    def _figure(self):
-        from repro.bench import FigureData
-        figure = FigureData(name="demo", title="t", x_label="workers",
-                            y_label="kops")
-        figure.add_point("light", "lock-free", 1, 100.5)
-        figure.add_point("light", "lock-free", 2, 200.0)
-        figure.add_point("heavy", "coarse-grained", 1, 1.5)
-        return figure
-
-    def test_csv_long_format(self):
-        from repro.bench import figure_to_csv
-        text = figure_to_csv(self._figure())
-        lines = text.strip().split("\n")
-        assert lines[0] == "panel,series,workers,kops"
-        assert "light,lock-free,1,100.5" in lines
-        assert len(lines) == 4
-
-    def test_write_to_directory(self, tmp_path):
-        from repro.bench import write_figure_csv
-        path = write_figure_csv(self._figure(), tmp_path)
-        assert path.name == "demo.csv"
-        assert "coarse-grained" in path.read_text()
-
-
 class TestTimeSeries:
     def test_rates_over_virtual_time(self):
         from repro.sim import Metrics, Simulator

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import os
 import re
 from dataclasses import fields, replace
 
@@ -50,8 +51,8 @@ class TestSmr:
 
 
 class TestMpEngine:
-    """The mp engine is a deployment's engine (``net supervise|bench
-    --engine mp``); ``standalone`` and ``smr`` run the simulator only."""
+    """The mp engine is a deployment's engine (``net supervise --engine
+    mp``); ``standalone`` and ``smr`` run the simulator only."""
 
     def test_standalone_zipf(self, capsys):
         assert main(["standalone", "--key-dist", "zipf", "--zipf-s", "1.2",
@@ -71,7 +72,7 @@ class TestMpEngine:
         from repro.cli import _build_parser
 
         args = _build_parser().parse_args(
-            ["net", "bench", "--engine", "mp", "--mp-workers", "3"])
+            ["net", "supervise", "--engine", "mp", "--mp-workers", "3"])
         assert args.engine == "mp"
         assert args.mp_workers == 3
 
@@ -103,8 +104,8 @@ def _flag_cases():
 
 
 class TestNetCli:
-    """The deployment flags of ``net supervise`` / ``net bench`` are
-    generated from the spec's fields; the partitioned deployment is a flag
+    """The deployment flags of ``net supervise`` are generated from the
+    spec's fields; the partitioned deployment is a flag
     on the ordinary subcommands (``--groups`` / ``net client --cross``)."""
 
     @staticmethod
@@ -123,7 +124,6 @@ class TestNetCli:
 
         monkeypatch.setattr("repro.net.supervisor.Supervisor",
                             FakeSupervisor)
-        monkeypatch.setattr("repro.net.bench.Supervisor", FakeSupervisor)
         monkeypatch.chdir(tmp_path)     # supervise writes its config here
 
         def run(*argv):
@@ -133,17 +133,43 @@ class TestNetCli:
 
         return run
 
-    @pytest.mark.parametrize("subcommand", ("supervise", "bench"))
     @pytest.mark.parametrize("name,argv,value", _flag_cases())
     def test_every_deployment_flag_reaches_the_replicas(
-            self, handed_to_supervisor, subcommand, name, argv, value):
-        defaults = handed_to_supervisor(subcommand)
+            self, handed_to_supervisor, name, argv, value):
+        defaults = handed_to_supervisor("supervise")
         assert getattr(defaults, name) != value
-        config = handed_to_supervisor(subcommand, *argv)
+        config = handed_to_supervisor("supervise", *argv)
         assert isinstance(config, NetConfig)
         assert getattr(config, name) == value
         assert replace(config, **{name: getattr(defaults, name)},
                        addresses=defaults.addresses) == defaults
+
+    @pytest.mark.parametrize("name,argv,value", _flag_cases())
+    def test_every_deployment_flag_reaches_the_config_file(
+            self, handed_to_supervisor, tmp_path, name, argv, value):
+        # ``net replica`` and ``net client`` processes read the deployment
+        # from the file supervise writes, through the same loader.
+        from repro.net.cli import _load_config
+
+        config = handed_to_supervisor("supervise", *argv)
+        loaded = _load_config(str(tmp_path / "repro-net-cluster.json"))
+        assert loaded == config
+        assert getattr(loaded, name) == value
+
+    def test_bench_is_not_a_subcommand(self, capsys):
+        # ``net supervise`` + ``net client`` load a deployment; the
+        # benchmark lives in benchmarks/e2e/run.py.
+        with pytest.raises(SystemExit) as caught:
+            main(["net", "bench"])
+        assert caught.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_client_ids_are_unique_per_client(self):
+        from repro.net.cli import _client_id
+
+        first, second = _client_id(), _client_id()
+        assert first != second
+        assert first.startswith(f"cli-{os.getpid()}-")
 
     def test_supervise_groups_flag_reaches_the_config(
             self, handed_to_supervisor, tmp_path):
@@ -162,15 +188,6 @@ class TestNetCli:
         # The file clients join through describes the same deployment.
         written = (tmp_path / "repro-net-cluster.json").read_text()
         assert NetConfig.from_json(written) == config
-
-    def test_bench_shares_the_cluster_options(self, handed_to_supervisor):
-        config = handed_to_supervisor(
-            "bench", "--workers", "7", "--propose-linger", "0.002",
-            "--no-cumulative-acks", "--groups", "2", "--replicas", "1")
-        assert config.workers == 7
-        assert config.propose_linger == 0.002
-        assert config.cumulative_acks is False
-        assert (config.n_groups, config.n_replicas) == (2, 1)
 
     def test_client_cross_flags(self):
         args = self._parse("client", "--config", "c.json")

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.command import Command
 from repro.errors import ShutdownError
-from repro.smr.client import Client, ClientTimeout
+from repro.smr.client import (Client, ClientTimeout, ClosedLoopStats,
+                              run_closed_loop)
 
 
 def read(key):
@@ -119,3 +120,66 @@ class TestClient:
         thread.start()
         assert client.execute(read(1)) == "fresh"
         thread.join()
+
+
+class Feed:
+    """A workload of ``count`` reads, handed out ``n`` at a time."""
+
+    def __init__(self, count, first=0):
+        self.keys = iter(range(first, first + count))
+
+    def commands(self, n):
+        return [read(key) for _, key in zip(range(n), self.keys)]
+
+
+class TestClosedLoop:
+    def test_every_answered_command_is_counted(self):
+        server = FakeServer()
+        client = make_client(server)
+        stats = run_closed_loop([client], [Feed(12)], batches=3, batch=4)
+        assert (stats.executed, stats.errors) == (12, 0)
+        assert [len(payload) for payload, _ in server.submissions] == [4] * 3
+        assert stats.duration > 0 and stats.throughput > 0
+
+    def test_a_short_workload_cuts_the_last_batch(self):
+        server = FakeServer()
+        client = make_client(server)
+        stats = run_closed_loop([client], [Feed(10)], batches=3, batch=4)
+        assert (stats.executed, stats.errors) == (10, 0)
+        assert [len(payload) for payload, _ in server.submissions] == [
+            4, 4, 2]
+
+    def test_a_timed_out_batch_is_counted_and_the_loop_goes_on(self):
+        class DropsSecond(FakeServer):
+            def submit(self, payload, contact):
+                self.respond = payload[0].request_id != 5
+                super().submit(payload, contact)
+
+        server = DropsSecond()
+        client = make_client(server, timeout=0.02, max_retries=1)
+        stats = run_closed_loop([client], [Feed(12)], batches=3, batch=4)
+        assert (stats.executed, stats.errors) == (8, 4)
+        # The dropped batch was retried once, then the third one was sent.
+        assert [payload[0].request_id
+                for payload, _ in server.submissions] == [1, 5, 5, 9]
+
+    def test_each_client_runs_on_its_own_thread(self):
+        # Each submit waits for the other client's: one thread driving both
+        # clients in turn would time every batch out.
+        barrier = threading.Barrier(2, timeout=5)
+
+        class Rendezvous(FakeServer):
+            def submit(self, payload, contact):
+                barrier.wait()
+                super().submit(payload, contact)
+
+        servers = [Rendezvous(), Rendezvous()]
+        clients = [make_client(server, timeout=5) for server in servers]
+        stats = run_closed_loop(clients, [Feed(6), Feed(6, first=100)],
+                                batches=3, batch=2)
+        assert (stats.executed, stats.errors) == (12, 0)
+        assert [len(server.submissions) for server in servers] == [3, 3]
+
+    def test_throughput_is_answered_commands_per_second(self):
+        assert ClosedLoopStats(10, 2, 2.0).throughput == 5.0
+        assert ClosedLoopStats(0, 0, 0.0).throughput == 0.0

@@ -11,7 +11,6 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.net.bench import NetBenchConfig
 from repro.net.config import NetConfig, loopback_config
 from repro.smr.cluster import ClusterConfig
 from repro.smr.deployment import DeploymentSpec
@@ -83,14 +82,11 @@ class TestDeclaredOnce:
         for cls in (ClusterConfig, NetConfig):
             assert not shared & (set(cls.__annotations__) - {"n_replicas"})
             assert shared < {f.name for f in fields(cls)}
-        assert shared.isdisjoint(f.name for f in fields(NetBenchConfig))
-        assert "deployment" in NetBenchConfig.__annotations__
 
     def test_field_count_stays_down(self):
         # 88 across the four config classes before there was a spec.
         assert sum(len(cls.__annotations__) for cls in (
-            DeploymentSpec, ClusterConfig, NetConfig,
-            NetBenchConfig)) <= 52
+            DeploymentSpec, ClusterConfig, NetConfig)) <= 26
 
     def test_positional_construction_is_refused(self):
         with pytest.raises(TypeError):

@@ -2,10 +2,9 @@
 
 The batching pipeline has three layers, tested bottom-up:
 
-- :meth:`ThreadedCOS.try_get` / :meth:`ThreadedCOS.get_batch` — draining
-  the ready set without blocking (simultaneously-ready commands are
-  pairwise non-conflicting, so a drained batch is safe to hand to any
-  engine in one call);
+- :meth:`ThreadedCOS.try_get` — draining the ready set without blocking
+  (simultaneously-ready commands are pairwise non-conflicting, so a
+  drained batch is safe to hand to any engine in one call);
 - :meth:`MpDispatcher.submit_many` / :meth:`request_many` — a whole
   same-shard batch crosses the process boundary in one pickle and one
   queue wakeup;
@@ -53,6 +52,18 @@ def make_threaded_cos(algorithm: str) -> ThreadedCOS:
     runtime = ThreadedRuntime()
     return ThreadedCOS(
         make_cos(algorithm, runtime, ReadWriteConflicts()), runtime)
+
+
+def drain(cos: ThreadedCOS, max_size: int) -> list:
+    """One blocking ``get`` plus up to ``max_size - 1`` ready handles
+    probed with ``try_get`` — how a replica worker fills a batch."""
+    handles = [cos.get()]
+    while len(handles) < max_size:
+        handle = cos.try_get()
+        if handle is None:
+            break
+        handles.append(handle)
+    return handles
 
 
 class TestTryGet:
@@ -117,7 +128,7 @@ class TestGetBatch:
         sizes = []
         keys = []
         while sum(sizes) < 5:
-            batch = cos.get_batch(8)
+            batch = drain(cos, 8)
             sizes.append(len(batch))
             keys.extend(cos.command_of(h).args[0] for h in batch)
             for handle in batch:
@@ -130,13 +141,13 @@ class TestGetBatch:
         cos = make_threaded_cos(algorithm)
         for key in range(5):
             cos.insert(read(key))
-        batch = cos.get_batch(3)
+        batch = drain(cos, 3)
         assert len(batch) == 3      # at least 4 of 5 are ready in any lane map
         retrieved = len(batch)
         while retrieved < 5:
             for handle in batch:
                 cos.remove(handle)
-            batch = cos.get_batch(8)
+            batch = drain(cos, 8)
             assert 1 <= len(batch) <= 5 - retrieved
             retrieved += len(batch)
         for handle in batch:
@@ -150,7 +161,7 @@ class TestGetBatch:
             cos.insert(read(key))
         sizes = []
         for _ in range(4):
-            batch = cos.get_batch(8)
+            batch = drain(cos, 8)
             sizes.append(len(batch))
             for handle in batch:
                 cos.remove(handle)

@@ -42,7 +42,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 FORBIDDEN = (
     "asyncio", "ssl", "http", "email", "concurrent.futures",
     "multiprocessing", "repro.cli", "repro.bench", "repro.sim",
-    "repro.check", "repro.spec", "repro.par", "repro.net.bench",
+    "repro.check", "repro.spec", "repro.par",
     "repro.net.supervisor", "repro.net.cluster", "repro.smr.cluster",
     "repro.smr.client",
 )
@@ -175,4 +175,4 @@ def test_net_entry_point_bypasses_the_top_level_cli(argv):
                 if line.startswith("import time:")}
     assert "repro.net.cli" in imported
     assert not imported & {"repro.cli", "repro.bench", "repro.sim",
-                           "repro.net.supervisor", "repro.net.bench"}
+                           "repro.net.supervisor"}

@@ -7,12 +7,16 @@ the cluster keeps serving.  This file is the CI cluster smoke job.
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 import urllib.request
+from pathlib import Path
 
 from repro.broadcast.paxos import LOG_RETAIN
 from repro.core.command import Command
-from repro.net.bench import NetBenchConfig, run_net_bench
 from repro.net.client import NetClient
 from repro.net.config import loopback_config
 from repro.net.supervisor import Supervisor
@@ -96,16 +100,40 @@ def test_blank_restarted_process_is_brought_back_by_snapshot():
         assert leader["paxos_snapshots_sent_total"]["value"] >= 1
 
 
-def test_net_bench_writes_artifact(tmp_path):
-    out = tmp_path / "net-bench.json"
-    config = NetBenchConfig(deployment=loopback_config(n_replicas=3),
-                            n_clients=2, batch=4, ops=48, seed=7)
-    result = run_net_bench(config, out_path=str(out))
-    assert result.executed == 48
-    assert result.errors == 0
-    assert result.throughput > 0
-
-    data = json.loads(out.read_text())
-    assert data["executed"] == 48
-    assert data["throughput"] > 0
-    assert data["config"]["crash_replica"] is None
+def test_concurrent_client_processes_are_all_answered(tmp_path):
+    """Two ``net client`` processes at once against one deployment: each
+    gets every batch answered, and every replica executes each of their
+    writes exactly once — none is swallowed as a duplicate of the other
+    client's requests or answered from its cache."""
+    ops = 60
+    config = loopback_config(n_replicas=3, metrics=True)
+    path = tmp_path / "cluster.json"
+    path.write_text(config.to_json())
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with Supervisor(config) as supervisor:
+        supervisor.wait_ready()
+        clients = [subprocess.Popen(
+            [sys.executable, "-m", "repro", "net", "client", "--config",
+             str(path), "--ops", str(ops), "--batch", "4", "--write-pct",
+             "100", "--seed", str(seed), "--contact", str(seed)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) for seed in (1, 2)]
+        try:
+            outputs = [client.communicate(timeout=60) for client in clients]
+        finally:
+            for client in clients:
+                client.kill()
+                client.wait()
+        for client, (out, err) in zip(clients, outputs):
+            assert client.returncode == 0, out + err
+            assert re.fullmatch(rf"executed {ops} commands in .*, "
+                                rf"0 timed out\n", out), out
+        deadline = time.monotonic() + 10
+        while True:
+            executed = [_scrape(config, replica)["replica_executed_total"]
+                        ["value"] for replica in range(3)]
+            if executed == [2 * ops] * 3 or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert executed == [2 * ops] * 3

@@ -1,6 +1,7 @@
 """Tests for the threaded event-loop node and the timeout tracker."""
 
 import queue
+import threading
 import time
 
 import pytest
@@ -13,7 +14,8 @@ from repro.broadcast import (
     ThreadedTransport,
     TimeoutTracker,
 )
-from repro.broadcast.messages import InstallSnapshot, SendSnapshot, Snapshot
+from repro.broadcast.messages import (InstallSnapshot, Send, SendSnapshot,
+                                     SetTimer, Snapshot)
 from repro.errors import ReproError, ShutdownError
 
 
@@ -92,6 +94,76 @@ class TestThreadedNode:
             nodes[0].submit("x")
         nodes[1].stop()
         transport.close()
+
+
+class _GatedProtocol:
+    """Holds one step open until released, then sends from it."""
+
+    def __init__(self, entry):
+        self.entry = entry
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def _held(self, entry):
+        if entry != self.entry:
+            return []
+        self.entered.set()
+        self.release.wait(5)
+        return [Send(1, "late")]
+
+    def start(self):
+        return [SetTimer("tick", 0)] if self.entry == "timer" else []
+
+    def submit(self, payload):
+        return self._held("submit")
+
+    def submit_read(self, payload):
+        return self._held("read")
+
+    def on_message(self, src, msg):
+        return self._held("message")
+
+    def on_timer(self, name):
+        return self._held("timer")
+
+
+class TestShutdownMidStep:
+    """``stop()`` then ``transport.close()`` while the loop is inside a
+    protocol step: the step's sends find the transport closed."""
+
+    def _run(self, monkeypatch, entry, stop):
+        errors = []
+        monkeypatch.setattr(threading, "excepthook",
+                            lambda args: errors.append(args.exc_value))
+        transport = ThreadedTransport(2, FaultPlan(min_delay=0, max_delay=0))
+        protocol = _GatedProtocol(entry)
+        node = ThreadedNode(0, protocol, transport, lambda *_: None,
+                            on_read=lambda _: None)
+        node.start()
+        if entry == "message":
+            transport.inbox(0).put((1, "ping"))
+        elif entry == "submit":
+            node.submit("payload")
+        elif entry == "read":
+            node.submit_read("payload")
+        assert protocol.entered.wait(5)
+        if stop:
+            node.stop()
+        transport.close()
+        protocol.release.set()
+        node.join(5)
+        assert not node.running
+        return errors
+
+    @pytest.mark.parametrize("entry",
+                             ("message", "submit", "read", "timer"))
+    def test_stopped_node_exits_quietly(self, monkeypatch, entry):
+        assert self._run(monkeypatch, entry, stop=True) == []
+
+    def test_transport_closed_under_a_running_node_still_fails(
+            self, monkeypatch):
+        errors = self._run(monkeypatch, "message", stop=False)
+        assert [type(error) for error in errors] == [ShutdownError]
 
 
 class _StubProtocol:

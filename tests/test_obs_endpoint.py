@@ -1,9 +1,8 @@
 """End-to-end observability over the TCP deployment.
 
 A live replica serves ``/metrics`` with the core series present, the
-series move monotonically under load, JSON snapshots land on disk, and the
-loopback bench's ``--trace`` path produces a span log plus a Fig. 6-shaped
-point.
+series move monotonically under load, JSON snapshots land on disk, and
+client- and replica-side spans join on one stable key.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ import urllib.request
 
 import pytest
 
-from repro.net.bench import NetBenchConfig, run_net_bench
 from repro.net.cluster import TcpCluster
-from repro.net.config import loopback_config
 from repro.obs import SnapshotWriter, MetricsRegistry
 from repro.workload import WorkloadGenerator
 
@@ -126,44 +123,6 @@ class TestSnapshotWriter:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             SnapshotWriter(MetricsRegistry(), "x.json", interval=0.0)
-
-
-class TestBenchTrace:
-    def test_bench_trace_produces_spans_and_fig6_point(self, tmp_path):
-        trace_path = tmp_path / "trace.jsonl"
-        artifact_path = tmp_path / "bench.json"
-        config = NetBenchConfig(
-            deployment=loopback_config(
-                n_replicas=1, cos_algorithm="lock-free", workers=2),
-            n_clients=1, batch=4, ops=16, trace_path=str(trace_path),
-        )
-        result = run_net_bench(config, out_path=str(artifact_path))
-
-        assert result.executed == 16
-        assert result.errors == 0
-        # Fig. 6 shape: one (throughput, latency) coordinate.
-        assert result.fig6_point["throughput_kops"] > 0
-        assert result.fig6_point["latency_ms"] > 0
-        # Latency histogram on the shared fixed-bucket ladder.
-        assert result.latency_histogram["count"] == 4  # 4 batches
-        assert result.latency_histogram["buckets"][-1]["le"] == "+Inf"
-        # Span log: submitted + responded per command.
-        assert result.trace_events == 2 * 16
-        lines = [json.loads(line)
-                 for line in trace_path.read_text().splitlines()]
-        assert len(lines) == 2 * 16
-        stages = {line["stage"] for line in lines}
-        assert stages == {"submitted", "responded"}
-        # Per-command round trips are recoverable and positive.
-        by_uid = {}
-        for line in lines:
-            by_uid.setdefault(line["uid"], {})[line["stage"]] = line["t"]
-        assert all(span["responded"] >= span["submitted"]
-                   for span in by_uid.values())
-        # The JSON artifact embeds the same observability fields.
-        artifact = json.loads(artifact_path.read_text())
-        assert artifact["trace_events"] == 32
-        assert artifact["fig6_point"]["throughput_kops"] > 0
 
 
 class TestSpanJoin:
