@@ -8,29 +8,7 @@ regenerate every figure of the paper's evaluation.  See DESIGN.md for the
 system inventory and EXPERIMENTS.md for the paper-vs-measured record.
 """
 
-from repro.core import (
-    COS,
-    COS_ALGORITHMS,
-    DEFAULT_MAX_SIZE,
-    AlwaysConflicts,
-    CoarseGrainedCOS,
-    Command,
-    ConflictRelation,
-    EarlyCOS,
-    EarlyConfig,
-    FineGrainedCOS,
-    KeyedConflicts,
-    MultiKeyedConflicts,
-    LockFreeCOS,
-    NeverConflicts,
-    PredicateConflicts,
-    ReadWriteConflicts,
-    SequentialCOS,
-    StructureCosts,
-    ThreadedCOS,
-    ThreadedRuntime,
-    make_cos,
-)
+from repro._lazy import exports
 from repro.errors import (
     ConfigurationError,
     ProtocolError,
@@ -42,35 +20,17 @@ from repro.errors import (
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "Command",
-    "ConflictRelation",
-    "ReadWriteConflicts",
-    "KeyedConflicts",
-    "MultiKeyedConflicts",
-    "NeverConflicts",
-    "AlwaysConflicts",
-    "PredicateConflicts",
-    "COS",
-    "COS_ALGORITHMS",
-    "StructureCosts",
-    "DEFAULT_MAX_SIZE",
-    "CoarseGrainedCOS",
-    "EarlyCOS",
-    "EarlyConfig",
-    "FineGrainedCOS",
-    "LockFreeCOS",
-    "SequentialCOS",
-    "ThreadedCOS",
-    "ThreadedRuntime",
-    "make_cos",
-    # errors
-    "ReproError",
-    "ConfigurationError",
-    "ProtocolError",
-    "SimulationError",
-    "SchedulerError",
-    "ShutdownError",
-]
+#: The core names resolve on first use, through repro.core's own lazy
+#: re-exports: ``import repro`` loads no scheduler.
+__getattr__, __all__ = exports(__name__, {".core": (
+    "Command", "ConflictRelation", "ReadWriteConflicts", "KeyedConflicts",
+    "MultiKeyedConflicts", "NeverConflicts", "AlwaysConflicts",
+    "PredicateConflicts", "COS", "COS_ALGORITHMS", "StructureCosts",
+    "DEFAULT_MAX_SIZE", "CoarseGrainedCOS", "EarlyCOS", "EarlyConfig",
+    "FineGrainedCOS", "LockFreeCOS", "SequentialCOS", "ThreadedCOS",
+    "ThreadedRuntime", "make_cos",
+)})
+
+__all__ = ["__version__", *__all__, "ReproError", "ConfigurationError",
+           "ProtocolError", "SimulationError", "SchedulerError",
+           "ShutdownError"]

@@ -6,34 +6,32 @@ service from a name + kwargs spec, because live service instances do not
 cross process boundaries.
 """
 
-from typing import Any, Callable, Dict, Tuple
+import importlib
+from typing import Any, Dict, Tuple
 
-from repro.apps.bank import BankService
-from repro.apps.kvstore import KVStoreService
-from repro.apps.linked_list import LinkedListService
+from repro._lazy import exports
 from repro.errors import ConfigurationError
 from repro.smr.service import Service
 
-__all__ = [
-    "LinkedListService",
-    "KVStoreService",
-    "BankService",
-    "SERVICES",
-    "build_service",
-]
+#: Resolved on first use (PEP 562): a replica loads only its own service.
+__getattr__, __all__ = exports(__name__, {
+    ".bank": ("BankService",), ".kvstore": ("KVStoreService",),
+    ".linked_list": ("LinkedListService",)})
+__all__ = [*__all__, "SERVICES", "build_service"]
 
-_SERVICE_FACTORIES: Dict[str, Callable[..., Service]] = {
+#: name -> (module, class, default kwargs) of each deployable service.
+_SERVICE_FACTORIES: Dict[str, Tuple[str, str, Dict[str, Any]]] = {
     # The linked list pre-populates a small working set so reads have
     # something to scan (the historical `repro.net` default).
-    "linked-list": lambda **kwargs: LinkedListService(
-        **{"initial_size": 50, **kwargs}),
+    "linked-list": ("linked_list", "LinkedListService",
+                    {"initial_size": 50}),
     # Per-key conflict relation: the variant partitioned ordering
     # (repro.groups) deploys, since its conflict classes can be split
     # across consensus groups (docs/partitioning.md).
-    "linked-list-keyed": lambda **kwargs: LinkedListService(
-        **{"initial_size": 50, "keyed_conflicts": True, **kwargs}),
-    "kv": lambda **kwargs: KVStoreService(**kwargs),
-    "bank": lambda **kwargs: BankService(**kwargs),
+    "linked-list-keyed": ("linked_list", "LinkedListService",
+                          {"initial_size": 50, "keyed_conflicts": True}),
+    "kv": ("kvstore", "KVStoreService", {}),
+    "bank": ("bank", "BankService", {}),
 }
 
 #: Deployable service names (``repro.net`` configs, ``repro.par`` specs).
@@ -41,11 +39,13 @@ SERVICES: Tuple[str, ...] = tuple(_SERVICE_FACTORIES)
 
 
 def build_service(name: str, **kwargs: Any) -> Service:
-    """Construct a registered service by name, overriding its defaults."""
+    """Construct a registered service by name, overriding its defaults;
+    imports only that service's module."""
     try:
-        factory = _SERVICE_FACTORIES[name]
+        module, cls, defaults = _SERVICE_FACTORIES[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown service {name!r}; choose from "
             f"{sorted(_SERVICE_FACTORIES)}") from None
-    return factory(**kwargs)
+    factory = getattr(importlib.import_module(f"{__name__}.{module}"), cls)
+    return factory(**{**defaults, **kwargs})

@@ -37,14 +37,16 @@ from repro.core.command import (
     stable_hash,
 )
 from repro.smr.service import ShardableService
-from repro.workload.generator import (
-    MULTI_READ_OP,
-    MULTI_WRITE_OP,
-    READ_OP,
-    WRITE_OP,
-)
 
-__all__ = ["LinkedListService"]
+__all__ = ["LinkedListService", "READ_OP", "WRITE_OP", "MULTI_READ_OP",
+           "MULTI_WRITE_OP"]
+
+READ_OP = "contains"
+WRITE_OP = "add"
+#: Multi-key operations: the partition-crossing commands of
+#: :mod:`repro.groups` experiments.
+MULTI_READ_OP = "contains-all"
+MULTI_WRITE_OP = "add-all"
 
 
 class _ListNode:

@@ -5,64 +5,19 @@ Pure protocol state machines (:class:`MultiPaxos`, fault tolerant;
 injection, and a threaded event-loop adapter.
 """
 
-from repro.broadcast.failure_detector import (
-    LeaseGrant,
-    QuorumLease,
-    TimeoutTracker,
-)
-from repro.broadcast.messages import (
-    Accept,
-    Accepted,
-    Ballot,
-    CatchupReply,
-    CatchupRequest,
-    Decide,
-    Deliver,
-    DeliverRead,
-    Forward,
-    Heartbeat,
-    HeartbeatAck,
-    Nack,
-    Prepare,
-    Promise,
-    Send,
-    SequencerStamp,
-    SetTimer,
-)
-from repro.broadcast.node import ThreadedNode
-from repro.broadcast.paxos import NOOP, MultiPaxos
-from repro.broadcast.sequencer import SequencerBroadcast
-from repro.broadcast.storage import InMemoryStableStore, StableStore
-from repro.broadcast.transport import FaultPlan, LinkFate, ThreadedTransport
+from repro._lazy import exports
 
-__all__ = [
-    "MultiPaxos",
-    "NOOP",
-    "SequencerBroadcast",
-    "TimeoutTracker",
-    "LeaseGrant",
-    "QuorumLease",
-    "ThreadedNode",
-    "ThreadedTransport",
-    "FaultPlan",
-    "LinkFate",
-    "StableStore",
-    "InMemoryStableStore",
-    "Ballot",
-    "Send",
-    "Deliver",
-    "DeliverRead",
-    "SetTimer",
-    "Prepare",
-    "Promise",
-    "Accept",
-    "Accepted",
-    "Decide",
-    "Nack",
-    "CatchupRequest",
-    "CatchupReply",
-    "Forward",
-    "Heartbeat",
-    "HeartbeatAck",
-    "SequencerStamp",
-]
+#: Resolved on first use (PEP 562): a Paxos replica never loads the
+#: sequencer.
+__getattr__, __all__ = exports(__name__, {
+    ".failure_detector": ("LeaseGrant", "QuorumLease", "TimeoutTracker"),
+    ".messages": ("Accept", "Accepted", "Ballot", "CatchupReply",
+                  "CatchupRequest", "Decide", "Deliver", "DeliverRead",
+                  "Forward", "Heartbeat", "HeartbeatAck", "Nack", "Prepare",
+                  "Promise", "Send", "SequencerStamp", "SetTimer"),
+    ".node": ("ThreadedNode",),
+    ".paxos": ("NOOP", "MultiPaxos"),
+    ".sequencer": ("SequencerBroadcast",),
+    ".storage": ("InMemoryStableStore", "StableStore"),
+    ".transport": ("FaultPlan", "LinkFate", "ThreadedTransport"),
+})

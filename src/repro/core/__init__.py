@@ -7,71 +7,29 @@ sequential-SMR baseline and the threaded runtime that executes them on OS
 threads.
 """
 
-from repro.core.command import (
-    AlwaysConflicts,
-    Command,
-    ConflictRelation,
-    KeyedConflicts,
-    MultiKeyedConflicts,
-    NeverConflicts,
-    PredicateConflicts,
-    ReadWriteConflicts,
-    stable_hash,
-)
-from repro.core.class_based import ClassBasedCOS, ClassConflicts, read_write_classes
-from repro.core.cos import COS, DEFAULT_MAX_SIZE, StructureCosts
-from repro.core.coarse_grained import CoarseGrainedCOS
-from repro.core.early import (
-    DEFAULT_WORKERS as DEFAULT_EARLY_WORKERS,
-    EarlyCOS,
-    EarlyConfig,
-    EarlySchedule,
-)
-from repro.core.history import (
-    HistoryRecorder,
-    HistoryViolation,
-    RecordingCOS,
-    check_history,
-)
-from repro.core.fine_grained import FineGrainedCOS
-from repro.core.indexed import IndexedCOS
-from repro.core.lock_free import LockFreeCOS
-from repro.core.sequential import SequentialCOS
-from repro.core.threaded import ThreadedCOS, ThreadedRuntime
+from repro._lazy import exports
+from repro.core.cos import DEFAULT_MAX_SIZE, StructureCosts
 
-__all__ = [
-    "Command",
-    "ConflictRelation",
-    "ReadWriteConflicts",
-    "KeyedConflicts",
-    "MultiKeyedConflicts",
-    "NeverConflicts",
-    "AlwaysConflicts",
-    "PredicateConflicts",
-    "stable_hash",
-    "COS",
-    "StructureCosts",
-    "DEFAULT_MAX_SIZE",
-    "CoarseGrainedCOS",
-    "FineGrainedCOS",
-    "ClassBasedCOS",
-    "ClassConflicts",
-    "read_write_classes",
-    "EarlyCOS",
-    "EarlyConfig",
-    "EarlySchedule",
-    "HistoryRecorder",
-    "HistoryViolation",
-    "RecordingCOS",
-    "check_history",
-    "IndexedCOS",
-    "LockFreeCOS",
-    "SequentialCOS",
-    "ThreadedCOS",
-    "ThreadedRuntime",
-    "make_cos",
-    "COS_ALGORITHMS",
-]
+#: Resolved on first use (PEP 562): a replica loads only its scheduler.
+__getattr__, __all__ = exports(__name__, {
+    ".command": ("AlwaysConflicts", "Command", "ConflictRelation",
+                 "KeyedConflicts", "MultiKeyedConflicts", "NeverConflicts",
+                 "PredicateConflicts", "ReadWriteConflicts", "stable_hash"),
+    ".class_based": ("ClassBasedCOS", "ClassConflicts",
+                     "read_write_classes"),
+    ".cos": ("COS",),
+    ".coarse_grained": ("CoarseGrainedCOS",),
+    ".early": ("EarlyCOS", "EarlyConfig", "EarlySchedule"),
+    ".history": ("HistoryRecorder", "HistoryViolation", "RecordingCOS",
+                 "check_history"),
+    ".fine_grained": ("FineGrainedCOS",),
+    ".indexed": ("IndexedCOS",),
+    ".lock_free": ("LockFreeCOS",),
+    ".sequential": ("SequentialCOS",),
+    ".threaded": ("ThreadedCOS", "ThreadedRuntime"),
+})
+__all__ = [*__all__, "StructureCosts", "DEFAULT_MAX_SIZE", "make_cos",
+           "COS_ALGORITHMS"]
 
 #: Names accepted by :func:`make_cos`, in the order the paper presents them
 #: (plus the class-based extension from the related-work line, the indexed
@@ -121,22 +79,30 @@ def make_cos(name, runtime, conflicts, max_size=DEFAULT_MAX_SIZE,
             f"{type(conflicts).__name__} does not; either give the "
             f"relation a footprint (see ConflictRelation.footprint) or "
             f"pick a pairwise scheduler: {alternatives}")
+    # Each branch imports only its own scheduler.
     if name == "coarse-grained":
+        from repro.core.coarse_grained import CoarseGrainedCOS
         return CoarseGrainedCOS(runtime, conflicts, max_size, costs, obs=obs)
     if name == "fine-grained":
+        from repro.core.fine_grained import FineGrainedCOS
         return FineGrainedCOS(runtime, conflicts, max_size, costs, obs=obs)
     if name == "lock-free":
+        from repro.core.lock_free import LockFreeCOS
         return LockFreeCOS(runtime, conflicts, max_size, costs, obs=obs)
     if name == "indexed":
+        from repro.core.indexed import IndexedCOS
         return IndexedCOS(runtime, conflicts, max_size, costs, obs=obs)
     if name == "sequential":
+        from repro.core.sequential import SequentialCOS
         return SequentialCOS(runtime, max_size, costs)
     if name == "class-based":
+        from repro.core.class_based import ClassBasedCOS, read_write_classes
         return ClassBasedCOS(runtime, classes_of or read_write_classes(),
                              max_size, costs)
     if name in ("early", "early-batched"):
+        from repro.core.early import DEFAULT_WORKERS, EarlyCOS, EarlyConfig
         config = early_config or EarlyConfig(
-            workers=workers or DEFAULT_EARLY_WORKERS,
+            workers=workers or DEFAULT_WORKERS,
             batched=(name == "early-batched"))
         return EarlyCOS(runtime, conflicts, max_size, costs,
                         config=config, obs=obs)

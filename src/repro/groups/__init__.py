@@ -26,17 +26,12 @@ see docs/partitioning.md):
   supervise --groups G`` over TCP).
 """
 
-from repro.groups.merge import Emission, GroupMerger, SkipHoldMerger
-from repro.groups.messages import Rendezvous, rendezvous_xid
-from repro.groups.partition import PartitionMap
-from repro.groups.stage import MergeStage
+from repro._lazy import exports
 
-__all__ = [
-    "Emission",
-    "GroupMerger",
-    "MergeStage",
-    "PartitionMap",
-    "Rendezvous",
-    "SkipHoldMerger",
-    "rendezvous_xid",
-]
+#: Resolved on first use (PEP 562): a single-group replica loads none of it.
+__getattr__, __all__ = exports(__name__, {
+    "repro.broadcast.messages": ("Rendezvous", "rendezvous_xid"),
+    ".merge": ("Emission", "GroupMerger", "SkipHoldMerger"),
+    ".partition": ("PartitionMap",),
+    ".stage": ("MergeStage",),
+})

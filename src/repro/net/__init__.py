@@ -32,34 +32,19 @@ Layers:
 a deployment by hand; ``benchmarks/e2e/run.py`` times one.
 """
 
-import importlib
-from typing import Any
+from repro._lazy import exports
 
-#: Public name -> defining submodule.  Resolved on first use (PEP 562): a
-#: replica process imports :mod:`repro.net.replica` without the client,
-#: supervisor and loopback-cluster stacks it never runs.
-_EXPORTS = {
-    "CodecError": "codec",
-    "ClientRequest": "messages",
-    "ClientResponse": "messages",
-    "NetClient": "client",
-    "NetConfig": "config",
-    "ReplicaServer": "replica",
-    "Supervisor": "supervisor",
-    "TcpCluster": "cluster",
-    "TcpTransport": "transport",
-    "decode_frame": "bincodec",
-    "encode_frame": "bincodec",
-    "free_port": "config",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
+#: Resolved on first use (PEP 562): a replica process imports
+#: :mod:`repro.net.replica` without the client, supervisor and
+#: loopback-cluster stacks it never runs.
+__getattr__, __all__ = exports(__name__, {
+    ".bincodec": ("decode_frame", "encode_frame"),
+    ".client": ("NetClient",),
+    ".cluster": ("TcpCluster",),
+    ".codec": ("CodecError",),
+    ".config": ("NetConfig", "free_port"),
+    ".messages": ("ClientRequest", "ClientResponse"),
+    ".replica": ("ReplicaServer",),
+    ".supervisor": ("Supervisor",),
+    ".transport": ("TcpTransport",),
+})

@@ -1,13 +1,18 @@
 """The fork server: one warm interpreter that forks every replica.
 
 A :class:`~repro.net.supervisor.Supervisor` starts one fork server per
-deployment (``python -c "from repro.net.forkserver import main; main()"
-CONFIG``).  It imports the replica stack once, loads and validates the
-deployment file once, builds one throwaway execution stage so that every
-lazy import and the COS kernel's direct-threaded class
-(:func:`repro.core.threaded.direct_class`) are done, and then ``os.fork()``s
-one child per replica.  A child runs :func:`repro.net.replica.run_replica`
-— the code ``net replica`` runs — and never returns into the server.
+deployment (``python -S -c "from repro.net.forkserver import main;
+main()" CONFIG``; ``-S`` runs none of the host's site hooks).  It loads and
+validates the deployment file once and builds one throwaway, never-started
+:class:`~repro.net.replica.ReplicaServer`, which imports what a replica of
+this deployment runs — codec, scheduler, service, engine, the ordering
+node for the configured protocol and group count — and builds the COS
+kernel's direct-threaded class (:func:`repro.core.threaded.direct_class`);
+with ``/metrics`` it also imports the exposition code.  Then it
+``os.fork()``s one child per replica.  A child runs
+:func:`repro.net.replica.run_replica` — the code ``net replica`` runs —
+imports nothing more (``http.server`` aside, when it serves ``/metrics``)
+and never returns into the server.
 
 The server is the replicas' parent: it alone signals and reaps them.  It
 takes one request per line on stdin and answers each with one line on
@@ -21,11 +26,14 @@ stop every replica it forked and exit, so no replica outlives its owner.
 
 This module is imported only by the fork server process, so it imports
 nothing a replica does not: the forked replica has ``net replica``'s
-module set less ``argparse`` (tests/test_import_budget.py).
+module set less ``site`` and the command line, and nothing it imports
+after the fork (tests/test_import_budget.py).
 """
 
 from __future__ import annotations
 
+import gc
+import importlib
 import json
 import os
 import signal
@@ -36,8 +44,7 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.net.config import NetConfig
-from repro.net.replica import run_replica
-from repro.smr.stack import build_execution
+from repro.net.replica import ReplicaServer, run_replica
 
 __all__ = ["ForkServer", "main"]
 
@@ -61,9 +68,16 @@ class ForkServer:
     def __init__(self, config: NetConfig):
         config.validate()
         self.config = config
-        # One throwaway execution stage: the imports and the direct class
-        # every replica would otherwise do and build after its fork.
-        build_execution(config, 0, on_response=None)
+        # One throwaway replica, never started (so no socket and no
+        # thread): every module and the COS kernel's direct class a replica
+        # of this config would otherwise import and build after its fork.
+        ReplicaServer(0, config)
+        if config.metrics_addresses:
+            importlib.import_module("repro.obs.expose")
+        # The throwaway replica is garbage in reference cycles: collected
+        # here, its memory is free for the replicas to reuse instead of held
+        # as garbage in every one of them.
+        gc.collect()
         #: replica id -> pid of its latest child.
         self._pids: Dict[int, int] = {}
         #: replica id -> exit status, once its latest child is reaped.

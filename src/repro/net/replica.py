@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import signal
 import threading
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.broadcast import ThreadedNode
 from repro.core.command import Command
@@ -39,10 +39,13 @@ from repro.errors import ConfigurationError, ShutdownError
 from repro.net.config import NetConfig
 from repro.net.messages import ClientRequest, ClientResponse, GroupEnvelope
 from repro.net.transport import GroupChannel, TcpTransport
-from repro.obs import MetricsHTTPServer, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.smr.checkpoint import Checkpoint
 from repro.smr.service import Service
 from repro.smr.stack import ReplicaStack, route
+
+if TYPE_CHECKING:
+    from repro.obs.expose import MetricsHTTPServer
 
 __all__ = ["ReplicaServer", "run_replica", "wait_for_signal"]
 
@@ -106,6 +109,10 @@ class ReplicaServer:
     def start(self) -> "ReplicaServer":
         self.stack.start()
         if self.config.metrics_addresses:
+            # Lazy: only a replica serving /metrics loads the exposition
+            # code and http.server.
+            from repro.obs.expose import MetricsHTTPServer
+
             host, port = self.config.metrics_addresses[self.replica_id]
             self._metrics_server = MetricsHTTPServer(
                 self.registry, host=host, port=port).start()

@@ -7,9 +7,10 @@ this is the only way replicas stop sharing one GIL (DESIGN.md §2), which
 is why the ROADMAP's production path runs process-per-replica.
 
 Process model: the supervisor starts one **fork server**
-(:mod:`repro.net.forkserver`), a single interpreter that imports the
-replica stack, loads the deployment file and builds the COS kernel's
-direct-threaded class once, then ``os.fork()``s one child per replica.
+(:mod:`repro.net.forkserver`), a single ``python -S`` interpreter (no
+site hooks) that loads the deployment file, imports what a replica of that
+deployment runs and builds the COS kernel's direct-threaded class once,
+then ``os.fork()``s one child per replica.
 Each child runs :func:`repro.net.replica.run_replica`, the code ``python
 -m repro net replica`` runs.  The supervisor talks to the fork server over
 its stdin/stdout pipe, one JSON line each way per request; the fork server
@@ -20,7 +21,8 @@ exits.
 
 What forked replicas share: the code and data the fork server loaded
 (copy-on-write pages, the same hash seed, the same module set, which is a
-``net replica`` process's less ``argparse``).  What they do not share:
+``net replica`` process's less ``site`` and ``argparse``; a replica
+imports nothing after its fork but ``http.server`` for ``/metrics``).  What they do not share:
 everything a replica builds after its fork — its ``ReplicaServer``,
 sockets, threads, metrics registry, mp shard processes, ``random`` state
 (reseeded at fork) and its log file.  One replica's crash, SIGKILL or
@@ -71,8 +73,10 @@ __all__ = ["ProcessGroup", "Supervisor"]
 _READY_POLL = 0.005
 
 #: Interpreter arguments that run the fork server; the deployment file's
-#: path follows them.
-_FORK_SERVER = ("-c", "from repro.net.forkserver import main; main()")
+#: path follows them.  ``-S``: no ``site.main()``, so none of the host's
+#: ``.pth`` hooks runs, and nothing they import is resident in a replica
+#: (the replica path needs nothing from site-packages).
+_FORK_SERVER = ("-S", "-c", "from repro.net.forkserver import main; main()")
 
 
 def _repro_pythonpath() -> str:

@@ -23,42 +23,16 @@ a discrete-event simulation produces bit-identical schedules with
 observability on or off (pinned by tests/test_obs.py).
 """
 
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-    log_spaced_buckets,
-)
-from repro.obs.spans import (
-    NULL_SPAN_LOG,
-    SPAN_STAGES,
-    NullSpanLog,
-    SpanLog,
-    span_key,
-)
-from repro.obs.expose import MetricsHTTPServer, SnapshotWriter, render_text
-from repro.obs.stats import quantile
+from repro._lazy import exports
 
-__all__ = [
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "DEFAULT_BUCKETS",
-    "log_spaced_buckets",
-    "SpanLog",
-    "NullSpanLog",
-    "NULL_SPAN_LOG",
-    "SPAN_STAGES",
-    "span_key",
-    "MetricsHTTPServer",
-    "SnapshotWriter",
-    "render_text",
-    "quantile",
-]
+#: Resolved on first use (PEP 562): a replica without ``/metrics`` never
+#: loads the exposition code.
+__getattr__, __all__ = exports(__name__, {
+    ".registry": ("DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram",
+                  "MetricsRegistry", "NULL_REGISTRY", "NullRegistry",
+                  "log_spaced_buckets"),
+    ".spans": ("NULL_SPAN_LOG", "SPAN_STAGES", "NullSpanLog", "SpanLog",
+               "span_key"),
+    ".expose": ("MetricsHTTPServer", "SnapshotWriter", "render_text"),
+    ".stats": ("quantile",),
+})

@@ -29,7 +29,7 @@ from repro.par.barrier import BarrierCoordinator
 from repro.par.dispatcher import MpDispatcher
 from repro.par.shard import ShardRouter
 from repro.par.worker import EXEC, RESTORE, SNAPSHOT
-from repro.smr.service import ShardableService
+from repro.smr.service import ShardableService, error_response
 
 __all__ = ["MpService"]
 
@@ -187,6 +187,7 @@ class MpService(ShardableService):
             for index, (status, payload) in zip(indices, outcomes):
                 if status == "err":
                     error_type, message, trace = payload
+                    responses[index] = error_response(error_type, message)
                     if failure is None:
                         failure = ShardError(
                             f"shard {shard} execution failed: "
@@ -194,6 +195,9 @@ class MpService(ShardableService):
                 else:
                     responses[index] = payload
         if failure is not None:
+            # Every command ran: how each one ended, for a caller that
+            # answers the failed ones instead of running the batch again.
+            failure.responses = responses
             raise failure
         if self._obs_on:
             self._m_dispatch.observe(self.registry.clock() - entered)

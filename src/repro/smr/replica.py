@@ -34,11 +34,11 @@ import time
 from repro.core import ThreadedCOS, ThreadedRuntime, make_cos
 from repro.core.command import Command
 from repro.core.cos import DEFAULT_MAX_SIZE
-from repro.errors import ShutdownError
+from repro.errors import ShardCrashed, ShutdownError
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.obs.spans import span_key
 from repro.smr.checkpoint import Checkpoint, CheckpointError
-from repro.smr.service import Service
+from repro.smr.service import Service, error_response
 
 __all__ = ["ParallelReplica", "STOP_OP"]
 
@@ -317,7 +317,7 @@ class ParallelReplica:
             for command in commands:
                 obs.span(span_key(command), "delivered")
                 obs.span(span_key(command), "executing")
-        responses = [self.service.execute(command) for command in commands]
+        responses = [self._execute_one(command) for command in commands]
         if obs_on:
             self._m_executed.inc(len(commands))
             self._m_scheduled.inc(len(commands))
@@ -460,10 +460,7 @@ class ParallelReplica:
         (:class:`~repro.spec.replica.SpeculativeReplica` captures undo
         records and *withholds* responses until commit instead).
         """
-        if self._execute_many is not None and len(commands) > 1:
-            responses = self._execute_many(commands)
-        else:
-            responses = [self.service.execute(cmd) for cmd in commands]
+        responses = self._execute(commands)
         with self._state_lock:
             self._executed += len(commands)
             for command, response in zip(commands, responses):
@@ -472,6 +469,38 @@ class ParallelReplica:
             for command, response in zip(commands, responses):
                 self._on_response(command, response, self.replica_id)
         return responses
+
+    def _execute(self, commands: List[Command]) -> List[Any]:
+        """The responses of ``commands``: one ``execute_many`` dispatch
+        where the service has it, else one ``execute`` each.
+
+        A batch that raises is answered from the error's ``responses``
+        when it carries them (the mp engine ran every command and says how
+        each ended), else executed again one command at a time, so only the
+        failing command answers its error.
+        """
+        if self._execute_many is not None and len(commands) > 1:
+            try:
+                return self._execute_many(commands)
+            except ShardCrashed:
+                raise
+            except Exception as error:  # noqa: BLE001 - answered below
+                responses = getattr(error, "responses", None)
+                if responses is not None:
+                    return responses
+        return [self._execute_one(command) for command in commands]
+
+    def _execute_one(self, command: Command) -> Any:
+        """``command``'s response; a service error is answered as
+        :func:`~repro.smr.service.error_response`.  Only a dead mp engine
+        still raises: it is this replica's fault, not the command's, and
+        the other replicas answer the command."""
+        try:
+            return self.service.execute(command)
+        except ShardCrashed:
+            raise
+        except Exception as error:  # noqa: BLE001 - the command's answer
+            return error_response(type(error).__name__, str(error))
 
     # ------------------------------------------------------------ inspection
 

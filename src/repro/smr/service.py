@@ -18,11 +18,21 @@ from typing import Any, List, Sequence, Tuple
 
 from repro.core.command import Command, ConflictRelation
 
-__all__ = ["Service", "ShardableService", "ALL_SHARDS"]
+__all__ = ["Service", "ShardableService", "ALL_SHARDS", "error_response"]
 
 #: Sentinel returned by :meth:`ShardableService.shards_of` for commands that
 #: touch every shard (global reads, administrative operations).
 ALL_SHARDS: Tuple[int, ...] = ()
+
+
+def error_response(error_type: str, message: str) -> str:
+    """The response of a command its service raised on.
+
+    A service is deterministic, so every replica raises the same error on
+    the same command and answers the same text; a string crosses the wire
+    codec.  The replica answers it and its worker lives on.
+    """
+    return f"error: {error_type}: {message}"
 
 
 class Service(ABC):

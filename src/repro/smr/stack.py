@@ -52,20 +52,23 @@ at the cut's instance + 1, and starts.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
-from repro.broadcast import MultiPaxos, SequencerBroadcast, ThreadedNode
 from repro.broadcast import paxos
+from repro.broadcast.messages import Rendezvous, rendezvous_xid
+from repro.broadcast.node import ThreadedNode
 from repro.core.command import Command
 from repro.errors import ConfigurationError, ShutdownError
-from repro.groups.messages import Rendezvous, rendezvous_xid
-from repro.groups.partition import PartitionMap
-from repro.groups.stage import MergeStage
 from repro.obs.registry import MetricsRegistry
 from repro.smr.checkpoint import Checkpoint
 from repro.smr.deployment import DeploymentSpec
 from repro.smr.replica import ParallelReplica, ResponseCallback
 from repro.smr.service import Service
+
+if TYPE_CHECKING:
+    from repro.groups.partition import PartitionMap
+    from repro.groups.stage import MergeStage
 
 __all__ = ["DEFAULT_DEDUP_WINDOW", "STOP_TIMEOUT", "ReplicaStack",
            "build_execution", "build_nodes", "build_protocol",
@@ -96,12 +99,14 @@ def build_protocol(cfg: DeploymentSpec, replica_id: int, *,
     (see :func:`build_nodes`).
     """
     if cfg.protocol == "sequencer":
+        from repro.broadcast.sequencer import SequencerBroadcast
+
         return SequencerBroadcast(replica_id, cfg.n_replicas,
                                   optimistic=optimistic)
     linger = cfg.propose_linger
     if linger is None:
         linger = cfg.heartbeat_interval / 10
-    return MultiPaxos(
+    return paxos.MultiPaxos(
         replica_id,
         cfg.n_replicas,
         batch_size=cfg.batch_size,
@@ -178,6 +183,8 @@ def build_nodes(cfg: DeploymentSpec, replica_id: int, replica: ParallelReplica,
     installed a peer's snapshot (single-group Paxos only)."""
     merge = None
     if cfg.n_groups > 1:
+        from repro.groups.stage import MergeStage
+
         merge = MergeStage(replica, cfg.n_groups,
                            record_history=cfg.record_history,
                            registry=registry)

@@ -224,7 +224,7 @@ class SpeculativeReplica(ParallelReplica):
                 responses.extend(super()._run_batch([command]))
                 continue
             undo = self._engine.undo.capture(self.service, command)
-            response = self.service.execute(command)
+            response = self._execute_one(command)
             with self._spec_executed:
                 self._engine.record(entry, undo, response)
                 self._spec_executed.notify_all()

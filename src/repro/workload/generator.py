@@ -27,6 +27,12 @@ import random
 from bisect import bisect_left
 from typing import Iterator, List, Optional, Tuple
 
+from repro.apps.linked_list import (
+    MULTI_READ_OP,
+    MULTI_WRITE_OP,
+    READ_OP,
+    WRITE_OP,
+)
 from repro.core.command import Command, stable_hash
 
 __all__ = [
@@ -37,13 +43,6 @@ __all__ = [
     "MULTI_WRITE_OP",
     "KEY_DISTRIBUTIONS",
 ]
-
-READ_OP = "contains"
-WRITE_OP = "add"
-#: Multi-key operations used for partition-crossing commands (supported by
-#: the linked-list service; see repro.apps.linked_list).
-MULTI_READ_OP = "contains-all"
-MULTI_WRITE_OP = "add-all"
 
 #: Supported key distributions.
 KEY_DISTRIBUTIONS = ("uniform", "zipf")

@@ -86,7 +86,11 @@ Each test fails against the pre-fix code:
   own copy right after it, so the replica holds the only handle;
 - **free_ports annotation** (net/config.py): ``-> List[int]`` named a
   ``List`` the module never imported, so ``typing.get_type_hints``
-  raised ``NameError``.
+  raised ``NameError``;
+- **service error kills a worker** (smr/replica.py): a command its
+  service raised on (an unknown op) killed the worker thread that ran it
+  on every replica, so every later command timed out; the error is now
+  that command's response and the worker lives on.
 """
 
 from __future__ import annotations
@@ -1046,7 +1050,7 @@ class TestMergerReleasedXidAbsorption:
 
     @staticmethod
     def _marker(xid, value):
-        from repro.groups.messages import Rendezvous
+        from repro.broadcast.messages import Rendezvous
 
         return Rendezvous(xid, (0, 1),
                           Command("add-all", (value,), writes=True))
@@ -1401,3 +1405,92 @@ class TestProcessGroupLogHandles:
             supervisor.stop()
         for member in pids:
             assert holders(f"replica-{member}.log", everyone) == set()
+
+
+# --------------------------------------------------------------------------
+# A service error is the command's response, not a dead worker.
+# --------------------------------------------------------------------------
+
+
+class _BatchService(Service):
+    """A linked-list-like service with ``execute_many`` that fails a batch
+    holding an unknown op, as the mp engine does."""
+
+    def __init__(self, responses_on_error):
+        self.executed = []
+        self._responses_on_error = responses_on_error
+
+    @property
+    def conflicts(self):
+        return ReadWriteConflicts()
+
+    def execute(self, command):
+        if command.op != "add":
+            raise ValueError(f"unknown op {command.op!r}")
+        self.executed.append(command.args[0])
+        return True
+
+    def execute_many(self, commands):
+        responses = []
+        for command in commands:
+            try:
+                responses.append(self.execute(command))
+            except ValueError as error:
+                responses.append(f"error: ValueError: {error}")
+        if any(isinstance(r, str) for r in responses):
+            error = ValueError("a command of the batch failed")
+            if self._responses_on_error:
+                error.responses = responses
+            else:
+                del self.executed[-len(commands):]   # ran nothing
+            raise error
+        return responses
+
+
+class TestServiceErrorIsTheResponse:
+
+    def test_unknown_op_is_answered_and_the_cluster_lives_on(
+            self, monkeypatch):
+        from repro.net.cluster import TcpCluster
+
+        died = []
+        monkeypatch.setattr(threading, "excepthook", died.append)
+        with TcpCluster(n_replicas=3) as cluster:
+            client = cluster.client(timeout=1.0)
+            bad = client.execute(Command("insert", (1,), writes=True))
+            good = client.execute(write(10_001))
+            assert cluster.wait_converged(2, timeout=5.0), (
+                cluster.total_executed())
+            alive = [thread.is_alive() for server in cluster.servers
+                     for thread in server.replica._threads]
+        assert bad == ("error: ValueError: unknown linked-list operation "
+                       "'insert'")
+        assert good is True
+        assert all(alive) and not died, died
+
+    def test_unknown_read_served_inline_is_answered(self):
+        answered = []
+        service = _BatchService(responses_on_error=True)
+        replica = ParallelReplica(
+            0, service, workers=1,
+            on_response=lambda cmd, resp, rid: answered.append(resp))
+        replica.start()
+        try:
+            # An idle pipeline executes a lease read on the calling thread.
+            replica.on_local_read((Command("peek", (1,), writes=False),))
+        finally:
+            replica.stop()
+        assert answered == ["error: ValueError: unknown op 'peek'"]
+
+    @pytest.mark.parametrize("responses_on_error", [True, False],
+                             ids=["batch-says-how-each-ended",
+                                  "batch-ran-nothing"])
+    def test_failed_batch_runs_each_command_once(self, responses_on_error):
+        service = _BatchService(responses_on_error)
+        replica = ParallelReplica(0, service, workers=1)
+        commands = [write(1), Command("insert", (2,), writes=True),
+                    write(3)]
+        assert replica._run_batch(commands) == [
+            True, "error: ValueError: unknown op 'insert'", True]
+        assert service.executed == [1, 3]
+        assert replica.executed == 3

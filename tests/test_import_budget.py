@@ -14,15 +14,22 @@ first replica.  That replica must load what ``net replica`` loads less
 the command line — ``argparse``, and ``shutil``, ``bz2`` and ``lzma``
 behind it.
 
-The probe interpreter starts with ``-S`` and its first line is ``import
-site``: that loads ``site`` and ``_sitebuiltins`` but runs no
-``site.main()``, so no ``.pth`` file in the host's site-packages is
-processed.  The count then starts from CPython's stock start-up (32
+The ``net replica`` probe interpreter starts with ``-S`` and its first
+line is ``import site``: that loads ``site`` and ``_sitebuiltins`` but
+runs no ``site.main()``, so no ``.pth`` file in the host's site-packages
+is processed.  The count then starts from CPython's stock start-up (32
 modules on 3.11.7, the same as a fresh ``python -m venv``), not from
 whatever a host's site hooks import before ``repro`` is touched (a
 certifi CA hook alone adds 22 modules to every process).  Those hooks are
 not the replica's imports.  With no site-packages on the path, a
-third-party import on the replica path fails the probe outright.
+third-party import on the replica path fails the probe outright.  The
+fork server itself runs with ``-S`` and no ``import site`` at all.
+
+The fork server loads what a replica of its deployment runs, and only
+that: before its first fork it imports everything the replica will (a
+forked replica imports nothing after its fork), and the package
+``__init__``s re-export lazily, so a deployment's configuration decides
+which scheduler, service, protocol and group stages are loaded.
 """
 
 import json
@@ -47,11 +54,22 @@ FORBIDDEN = (
     "repro.smr.client",
 )
 
+#: What a single-group Paxos, lock-free, linked-list replica never runs:
+#: the other schedulers, services and protocol, partitioned ordering, the
+#: workload generator and the ``/metrics`` exposition.
+LEAN_FORBIDDEN = (
+    "repro.core.early", "repro.core.indexed", "repro.core.class_based",
+    "repro.core.coarse_grained", "repro.core.fine_grained",
+    "repro.core.history", "repro.core.sequential", "repro.groups",
+    "repro.broadcast.sequencer", "repro.apps.bank", "repro.apps.kvstore",
+    "repro.workload", "repro.obs.expose",
+)
+
 #: ``len(sys.modules)`` of a started replica, counted from a stock
-#: interpreter start-up (CPython 3.11.7: 168 measured; before the budget
-#: existed a replica loaded 282).  Raise it only for a module a replica
-#: actually runs.
-MODULE_BUDGET = 176
+#: interpreter start-up (CPython 3.11.7: 149 measured; before the budget
+#: existed a replica loaded 282, before the lazy package re-exports 168).
+#: Raise it only for a module a replica actually runs.
+MODULE_BUDGET = 151
 
 _PROBE = """
 import site
@@ -70,16 +88,35 @@ for path in sys.argv[1:]:
 
 #: The forked replica's report, spliced in ahead of the fork server's own
 #: code: the wait for SIGTERM first prints ``sys.modules``, then waits.
+#: The fork server reports its own to its log as it starts serving, which
+#: is after its imports and before its first fork.
 _FORKED_PROBE = """
-import site
 import json
 import sys
+import repro.net.forkserver as forkserver
 import repro.net.replica as replica
 wait = replica.wait_for_signal
 def report():
     print(json.dumps(sorted(sys.modules)), flush=True)
     wait()
 replica.wait_for_signal = report
+serve = forkserver.ForkServer.serve
+def serve_reporting(self, *args):
+    print(json.dumps(sorted(sys.modules)), file=sys.stderr, flush=True)
+    serve(self, *args)
+forkserver.ForkServer.serve = serve_reporting
+"""
+
+#: The modules a fork server loads for one deployment file, in an
+#: interpreter started as the supervisor starts it.
+_SERVER_PROBE = """
+import json
+import sys
+from repro.net.config import NetConfig
+from repro.net.forkserver import ForkServer
+with open(sys.argv[1]) as handle:
+    ForkServer(NetConfig.from_json(handle.read()))
+print(json.dumps(sorted(sys.modules)))
 """
 
 #: What ``net replica`` loads for its command line and a forked replica
@@ -95,6 +132,12 @@ def _run(*argv, **kwargs):
 
 def _loaded(modules, name):
     return [m for m in modules if m == name or m.startswith(name + ".")]
+
+
+def _reports(path):
+    """The ``sys.modules`` lists a probe printed to the file at ``path``."""
+    return [json.loads(line) for line in path.read_text().splitlines()
+            if line.startswith("[") and line.endswith("]")]
 
 
 def _net_replica_modules(tmp_path, *configs):
@@ -116,7 +159,8 @@ def test_started_replica_imports_only_what_it_runs(tmp_path):
         tmp_path, ("plain", loopback_config(3)),
         ("metrics", loopback_config(3, metrics=True)))
     assert "repro.net.replica" in plain and "repro.net.transport" in plain
-    leaked = {name: _loaded(plain, name) for name in FORBIDDEN}
+    leaked = {name: _loaded(plain, name)
+              for name in FORBIDDEN + LEAN_FORBIDDEN}
     assert not any(leaked.values()), (
         f"a replica process imported {leaked}")
     assert len(plain) <= MODULE_BUDGET, (
@@ -127,6 +171,33 @@ def test_started_replica_imports_only_what_it_runs(tmp_path):
     assert "http.server" in with_metrics
 
 
+@pytest.mark.parametrize("overrides, loads, never", [
+    ({}, (), LEAN_FORBIDDEN),
+    ({"protocol": "sequencer"}, ("repro.broadcast.sequencer",),
+     ("repro.groups",)),
+    ({"n_groups": 2, "service": "linked-list-keyed"},
+     ("repro.groups.stage",), ("repro.broadcast.sequencer",)),
+    ({"cos_algorithm": "early", "service": "kv"},
+     ("repro.core.early", "repro.apps.kvstore"),
+     ("repro.core.indexed", "repro.apps.linked_list")),
+], ids=["paxos-lock-free-linked-list", "sequencer", "two-groups",
+        "early-kv"])
+def test_fork_server_loads_what_its_deployment_runs(tmp_path, overrides,
+                                                    loads, never):
+    from repro.net import supervisor
+
+    path = tmp_path / "deployment.json"
+    path.write_text(loopback_config(3, **overrides).to_json())
+    flags = supervisor._FORK_SERVER[:-2]
+    result = _run(*flags, "-c", _SERVER_PROBE, str(path))
+    assert result.returncode == 0, result.stderr
+    modules = json.loads(result.stdout)
+    for name in loads:
+        assert name in modules, f"{overrides}: {name} not loaded"
+    leaked = {name: _loaded(modules, name) for name in never + FORBIDDEN}
+    assert not any(leaked.values()), f"{overrides}: loaded {leaked}"
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork server")
 def test_forked_replica_imports_net_replica_less_the_cli(tmp_path,
                                                           monkeypatch):
@@ -134,30 +205,35 @@ def test_forked_replica_imports_net_replica_less_the_cli(tmp_path,
 
     config = loopback_config(3)
     startup, plain = _net_replica_modules(tmp_path, ("plain", config))
-    flag, code = supervisor._FORK_SERVER
+    *flags, code = supervisor._FORK_SERVER
+    assert "-S" in flags, "the fork server must run no site hooks"
     monkeypatch.setattr(supervisor, "_FORK_SERVER",
-                        ("-S", flag, _FORKED_PROBE + code))
+                        (*flags, _FORKED_PROBE + code))
     log = tmp_path / "replica-0.log"
-
-    def reports():
-        return [line for line in log.read_text().splitlines()
-                if line.startswith("[") and line.endswith("]")]
 
     with supervisor.Supervisor(config, log_dir=str(tmp_path)) as fleet:
         fleet.wait_ready()
         deadline = time.monotonic() + 30
-        while not reports() and time.monotonic() < deadline:
+        while not _reports(log) and time.monotonic() < deadline:
             time.sleep(0.01)
-    forked = json.loads(reports()[0])
-    leaked = {name: _loaded(forked, name) for name in FORBIDDEN + CLI_ONLY}
+    forked = _reports(log)[0]
+    server = _reports(tmp_path / "forkserver.log")[0]
+    leaked = {name: _loaded(forked, name)
+              for name in FORBIDDEN + CLI_ONLY + LEAN_FORBIDDEN}
     assert not any(leaked.values()), (
         f"a forked replica imported {leaked}")
     assert len(forked) <= MODULE_BUDGET, (
         f"{len(forked)} modules in a forked replica, budget "
         f"{MODULE_BUDGET}; the replica path added "
         f"{sorted(set(forked) - set(startup))}")
-    # The same module set as ``net replica``, less its command line.
-    assert set(forked) - set(plain) == {"repro.net.forkserver"}
+    # Nothing is imported (so nothing compiled) after the fork: the fork
+    # server loaded all of it first.
+    assert set(forked) <= set(server), (
+        f"imported after the fork: {sorted(set(forked) - set(server))}")
+    # The same module set as ``net replica``, less its command line; the
+    # fork server adds itself and ``gc`` (it collects its throwaway
+    # replica before forking).
+    assert set(forked) - set(plain) == {"repro.net.forkserver", "gc"}
     cli_only = set(plain) - set(forked)
     assert "argparse" in cli_only and "repro.net.cli" in cli_only
     print(f"net replica loads {len(plain)} modules, a forked replica "

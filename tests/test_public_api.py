@@ -1,6 +1,10 @@
 """Public-API surface tests: exports resolve, errors form one hierarchy."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,8 @@ PACKAGES = [
     "repro.core",
     "repro.sim",
     "repro.broadcast",
+    "repro.groups",
+    "repro.obs",
     "repro.smr",
     "repro.apps",
     "repro.workload",
@@ -49,6 +55,60 @@ class TestExports:
         from repro import ReadWriteConflicts, ThreadedRuntime, make_cos
         with pytest.raises(ValueError, match="unknown COS algorithm"):
             make_cos("optimistic", ThreadedRuntime(), ReadWriteConflicts())
+
+
+#: Resolves every lazy re-export in a fresh interpreter, where nothing is
+#: imported yet, and builds every scheduler and service by name.
+_LAZY_PROBE = """
+import importlib
+import sys
+for package in sys.argv[1:]:
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        getattr(module, name)
+    namespace = {}
+    exec(f"from {package} import *", namespace)
+    assert set(module.__all__) <= set(namespace), package
+from repro.apps import SERVICES, build_service
+from repro.core import (COS_ALGORITHMS, FOOTPRINT_ALGORITHMS,
+                        KeyedConflicts, ThreadedRuntime, make_cos)
+for name in COS_ALGORITHMS:
+    # A pairwise-only relation where the scheduler allows one.
+    relation = KeyedConflicts()
+    if name not in FOOTPRINT_ALGORITHMS:
+        relation.supports_footprint = False
+    assert make_cos(name, ThreadedRuntime(), relation) is not None, name
+for name in SERVICES:
+    assert build_service(name).conflicts is not None, name
+try:
+    build_service("no-such-service")
+except Exception as error:
+    assert "unknown service" in str(error), error
+else:
+    raise AssertionError("an unknown service was built")
+print("ok")
+"""
+
+LAZY_PACKAGES = ["repro", "repro.core", "repro.broadcast", "repro.groups",
+                 "repro.obs", "repro.apps"]
+
+
+class TestLazyExports:
+    def test_every_export_resolves_from_a_fresh_interpreter(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", _LAZY_PROBE, *LAZY_PACKAGES],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True,
+            timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_unknown_name_is_an_attribute_error(self, package):
+        module = importlib.import_module(package)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name  # noqa: B018
 
 
 class TestErrorHierarchy:
