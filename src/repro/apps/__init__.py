@@ -6,7 +6,7 @@ service from a name + kwargs spec, because live service instances do not
 cross process boundaries.
 """
 
-import importlib
+import sys
 from typing import Any, Dict, Tuple
 
 from repro._lazy import exports
@@ -19,19 +19,19 @@ __getattr__, __all__ = exports(__name__, {
     ".linked_list": ("LinkedListService",)})
 __all__ = [*__all__, "SERVICES", "build_service"]
 
-#: name -> (module, class, default kwargs) of each deployable service.
-_SERVICE_FACTORIES: Dict[str, Tuple[str, str, Dict[str, Any]]] = {
+#: name -> (class, default kwargs) of each deployable service; the class
+#: resolves through the lazy exports above.
+_SERVICE_FACTORIES: Dict[str, Tuple[str, Dict[str, Any]]] = {
     # The linked list pre-populates a small working set so reads have
     # something to scan (the historical `repro.net` default).
-    "linked-list": ("linked_list", "LinkedListService",
-                    {"initial_size": 50}),
+    "linked-list": ("LinkedListService", {"initial_size": 50}),
     # Per-key conflict relation: the variant partitioned ordering
     # (repro.groups) deploys, since its conflict classes can be split
     # across consensus groups (docs/partitioning.md).
-    "linked-list-keyed": ("linked_list", "LinkedListService",
+    "linked-list-keyed": ("LinkedListService",
                           {"initial_size": 50, "keyed_conflicts": True}),
-    "kv": ("kvstore", "KVStoreService", {}),
-    "bank": ("bank", "BankService", {}),
+    "kv": ("KVStoreService", {}),
+    "bank": ("BankService", {}),
 }
 
 #: Deployable service names (``repro.net`` configs, ``repro.par`` specs).
@@ -42,10 +42,9 @@ def build_service(name: str, **kwargs: Any) -> Service:
     """Construct a registered service by name, overriding its defaults;
     imports only that service's module."""
     try:
-        module, cls, defaults = _SERVICE_FACTORIES[name]
+        cls, defaults = _SERVICE_FACTORIES[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown service {name!r}; choose from "
             f"{sorted(_SERVICE_FACTORIES)}") from None
-    factory = getattr(importlib.import_module(f"{__name__}.{module}"), cls)
-    return factory(**{**defaults, **kwargs})
+    return getattr(sys.modules[__name__], cls)(**{**defaults, **kwargs})
