@@ -49,9 +49,9 @@ sys.path.insert(0, os.path.dirname(__file__))  # conftest when run directly
 from conftest import emit
 
 from repro.bench import FigureData
-from repro.broadcast.messages import Rendezvous, rendezvous_xid
 from repro.core.command import Command, MultiKeyedConflicts
 from repro.groups.merge import GroupMerger
+from repro.groups.messages import Rendezvous, rendezvous_xid
 from repro.groups.partition import PartitionMap
 from repro.smr.cluster import ClusterConfig, ThreadedCluster
 from repro.workload import WorkloadGenerator

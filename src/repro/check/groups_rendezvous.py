@@ -52,13 +52,13 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.broadcast.messages import Rendezvous, rendezvous_xid
 from repro.check.explorer import DecisionHarness
 from repro.check.mutants import mutant_class
 from repro.check.oracle import Violation
 from repro.core.command import Command, MultiKeyedConflicts
 from repro.errors import SimulationError
 from repro.groups.merge import Emission, GroupMerger, SkipHoldMerger
+from repro.groups.messages import Rendezvous, rendezvous_xid
 from repro.groups.partition import PartitionMap
 
 __all__ = [

@@ -68,5 +68,18 @@ class ShardError(ReproError):
     """
 
 
+class ShardCommandError(ShardError):
+    """Commands raised in shard workers, which live on.
+
+    ``responses`` answers every command of the failing call in order; a
+    failed command's answer is :func:`repro.smr.service.error_response`
+    of its error, the same text however the command was dispatched.
+    """
+
+    def __init__(self, message: str, responses: list):
+        super().__init__(message)
+        self.responses = responses
+
+
 class ShardCrashed(ShardError):
     """A shard worker process died or timed out; the engine is down."""

@@ -30,8 +30,8 @@ from repro._lazy import exports
 
 #: Resolved on first use (PEP 562): a single-group replica loads none of it.
 __getattr__, __all__ = exports(__name__, {
-    "repro.broadcast.messages": ("Rendezvous", "rendezvous_xid"),
     ".merge": ("Emission", "GroupMerger", "SkipHoldMerger"),
+    ".messages": ("Rendezvous", "rendezvous_xid"),
     ".partition": ("PartitionMap",),
     ".stage": ("MergeStage",),
 })

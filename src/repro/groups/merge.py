@@ -6,7 +6,7 @@ replica's Conflict-Ordered Set:
 
 - a single-partition command is released immediately — its group's
   consensus order *is* its class order;
-- a cross-partition :class:`~repro.broadcast.messages.Rendezvous` marker
+- a cross-partition :class:`~repro.groups.messages.Rendezvous` marker
   **holds** its group's stream.  The command is released exactly once, when
   every involved group's copy of the marker has reached the head of its
   stream; its merged position is the marker's sequence in the *lowest*
@@ -39,9 +39,9 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Hashable, List, Optional, Set, Tuple
 
-from repro.broadcast.messages import Rendezvous
 from repro.core.command import Command, ConflictRelation
 from repro.errors import ConfigurationError, SimulationError
+from repro.groups.messages import Rendezvous
 
 __all__ = ["Emission", "GroupMerger", "SkipHoldMerger", "command_key"]
 

@@ -33,9 +33,9 @@ from functools import partial
 from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
                     Tuple)
 
-from repro.broadcast.messages import Rendezvous
 from repro.core.command import Command
 from repro.groups.merge import Emission, GroupMerger
+from repro.groups.messages import Rendezvous
 from repro.groups.partition import PartitionMap
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 

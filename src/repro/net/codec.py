@@ -32,12 +32,12 @@ from repro.broadcast.messages import (
     OptimisticAnnounce,
     Prepare,
     Promise,
-    Rendezvous,
     SequencerStamp,
     Snapshot,
 )
 from repro.core.command import Command
 from repro.errors import ReproError
+from repro.groups.messages import Rendezvous
 from repro.net.messages import ClientRequest, ClientResponse, GroupEnvelope
 
 __all__ = ["CodecError", "WIRE_TYPES", "WIRE_NAMES", "MAX_FRAME",

@@ -83,7 +83,15 @@ class BarrierCoordinator:
             scratch.restore(
                 scratch.recompose_snapshots(
                     [fragments[shard] for shard in shards]))
-            response = scratch.execute(command)
+            try:
+                response = scratch.execute(command)
+            except BaseException:
+                # The command's own error: release every barred shard with
+                # the state it handed over, then let the caller answer it.
+                for shard in shards:
+                    self._dispatcher.install(
+                        shard, seqs[shard], fragments[shard])
+                raise
             for shard in shards:
                 self._dispatcher.install(
                     shard, seqs[shard],

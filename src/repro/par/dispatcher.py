@@ -22,7 +22,8 @@ import queue as queue_module
 import threading
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ShardCrashed, ShardError, ShutdownError
+from repro.errors import (ShardCommandError, ShardCrashed, ShardError,
+                          ShutdownError)
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.par import config
 from repro.par.worker import (
@@ -33,6 +34,7 @@ from repro.par.worker import (
     STOP,
     shard_worker_main,
 )
+from repro.smr.service import error_response
 
 __all__ = ["MpDispatcher"]
 
@@ -283,9 +285,10 @@ class MpDispatcher:
             self._depth_gauges[shard].dec(slot.weight)
             if tag == ERR:
                 error_type, message, trace = payload
-                slot.error = ShardError(
+                slot.error = ShardCommandError(
                     f"shard {shard} execution failed: "
-                    f"{error_type}: {message}\n{trace}")
+                    f"{error_type}: {message}\n{trace}",
+                    [error_response(error_type, message)])
             else:  # RESP / FRAG / OK all deliver their payload
                 slot.value = payload
             slot.event.set()

@@ -23,7 +23,8 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.apps import build_service
 from repro.core.command import Command, ConflictRelation
-from repro.errors import ConfigurationError, ShardError, ShutdownError
+from repro.errors import (ConfigurationError, ShardCommandError,
+                          ShardError, ShutdownError)
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.par.barrier import BarrierCoordinator
 from repro.par.dispatcher import MpDispatcher
@@ -172,11 +173,18 @@ class MpService(ShardableService):
                  shard, [commands[i] for i in indices]))
             for shard, indices in groups.items()
         ]
+        failure: Optional[str] = None
         for index in barrier_indices:
             command = commands[index]
-            responses[index] = self._barrier.execute(
-                command, self._router.route(command))
-        failure: Optional[ShardError] = None
+            try:
+                responses[index] = self._barrier.execute(
+                    command, self._router.route(command))
+            except (ShardError, ShutdownError):
+                raise  # the engine's fault, not the command's
+            except Exception as error:  # noqa: BLE001 - the command's own
+                responses[index] = error_response(
+                    type(error).__name__, str(error))
+                failure = failure or f"{type(error).__name__}: {error}"
         for shard, indices, seq in seqs:
             # Every batch is awaited even after a failure so no reply is
             # left orphaned in the pending map.
@@ -188,17 +196,14 @@ class MpService(ShardableService):
                 if status == "err":
                     error_type, message, trace = payload
                     responses[index] = error_response(error_type, message)
-                    if failure is None:
-                        failure = ShardError(
-                            f"shard {shard} execution failed: "
-                            f"{error_type}: {message}\n{trace}")
+                    failure = failure or (
+                        f"shard {shard} execution failed: "
+                        f"{error_type}: {message}\n{trace}")
                 else:
                     responses[index] = payload
         if failure is not None:
-            # Every command ran: how each one ended, for a caller that
-            # answers the failed ones instead of running the batch again.
-            failure.responses = responses
-            raise failure
+            # Every command ran; the caller answers from ``responses``.
+            raise ShardCommandError(failure, responses)
         if self._obs_on:
             self._m_dispatch.observe(self.registry.clock() - entered)
         return responses

@@ -34,7 +34,7 @@ import time
 from repro.core import ThreadedCOS, ThreadedRuntime, make_cos
 from repro.core.command import Command
 from repro.core.cos import DEFAULT_MAX_SIZE
-from repro.errors import ShardCrashed, ShutdownError
+from repro.errors import ShardCommandError, ShardError, ShutdownError
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.obs.spans import span_key
 from repro.smr.checkpoint import Checkpoint, CheckpointError
@@ -472,32 +472,26 @@ class ParallelReplica:
 
     def _execute(self, commands: List[Command]) -> List[Any]:
         """The responses of ``commands``: one ``execute_many`` dispatch
-        where the service has it, else one ``execute`` each.
-
-        A batch that raises is answered from the error's ``responses``
-        when it carries them (the mp engine ran every command and says how
-        each ended), else executed again one command at a time, so only the
-        failing command answers its error.
-        """
+        where the service has it (the mp engine answers a failed command
+        of the batch in its :class:`~repro.errors.ShardCommandError`),
+        else one ``execute`` each."""
         if self._execute_many is not None and len(commands) > 1:
             try:
                 return self._execute_many(commands)
-            except ShardCrashed:
-                raise
-            except Exception as error:  # noqa: BLE001 - answered below
-                responses = getattr(error, "responses", None)
-                if responses is not None:
-                    return responses
+            except ShardCommandError as error:
+                return error.responses
         return [self._execute_one(command) for command in commands]
 
     def _execute_one(self, command: Command) -> Any:
         """``command``'s response; a service error is answered as
-        :func:`~repro.smr.service.error_response`.  Only a dead mp engine
-        still raises: it is this replica's fault, not the command's, and
-        the other replicas answer the command."""
+        :func:`~repro.smr.service.error_response`.  An engine fault still
+        raises: it is this replica's, not the command's, and the other
+        replicas answer the command."""
         try:
             return self.service.execute(command)
-        except ShardCrashed:
+        except ShardCommandError as error:
+            return error.responses[0]
+        except (ShardError, ShutdownError):
             raise
         except Exception as error:  # noqa: BLE001 - the command's answer
             return error_response(type(error).__name__, str(error))

@@ -56,10 +56,10 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
 from repro.broadcast import paxos
-from repro.broadcast.messages import Rendezvous, rendezvous_xid
 from repro.broadcast.node import ThreadedNode
 from repro.core.command import Command
 from repro.errors import ConfigurationError, ShutdownError
+from repro.groups.messages import Rendezvous, rendezvous_xid
 from repro.obs.registry import MetricsRegistry
 from repro.smr.checkpoint import Checkpoint
 from repro.smr.deployment import DeploymentSpec

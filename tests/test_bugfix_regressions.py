@@ -90,7 +90,15 @@ Each test fails against the pre-fix code:
 - **service error kills a worker** (smr/replica.py): a command its
   service raised on (an unknown op) killed the worker thread that ran it
   on every replica, so every later command timed out; the error is now
-  that command's response and the worker lives on.
+  that command's response and the worker lives on;
+- **mp engine answers one error two ways** (par/dispatcher.py,
+  par/engine.py): a command dispatched alone answered the worker's
+  traceback, the same command in a batch ``error: <type>: <message>``, so
+  replicas that batched differently answered and cached different text;
+- **barrier wedged by a raising command** (par/barrier.py): a multi-shard
+  command its service raised on left every shard it had barred waiting
+  for an install that never came, so the next command on those shards
+  timed out and the engine was declared dead.
 """
 
 from __future__ import annotations
@@ -110,7 +118,8 @@ from repro.broadcast.paxos import FORWARD_HOP_LIMIT, MultiPaxos
 from repro.broadcast.transport import FaultPlan, ThreadedTransport
 from repro.core.command import Command, ReadWriteConflicts
 from repro.core.threaded import ThreadedRuntime
-from repro.errors import ConfigurationError, ShardCrashed, ShutdownError
+from repro.errors import (ConfigurationError, ShardCommandError,
+                          ShardCrashed, ShutdownError)
 from repro.net.transport import TcpTransport
 from repro.par.dispatcher import (
     _REPLY_FAILURE_LIMIT,
@@ -1050,7 +1059,7 @@ class TestMergerReleasedXidAbsorption:
 
     @staticmethod
     def _marker(xid, value):
-        from repro.broadcast.messages import Rendezvous
+        from repro.groups.messages import Rendezvous
 
         return Rendezvous(xid, (0, 1),
                           Command("add-all", (value,), writes=True))
@@ -1413,12 +1422,11 @@ class TestProcessGroupLogHandles:
 
 
 class _BatchService(Service):
-    """A linked-list-like service with ``execute_many`` that fails a batch
-    holding an unknown op, as the mp engine does."""
+    """A linked-list-like service whose ``execute_many`` runs a whole batch
+    and fails it with every command's response, as the mp engine does."""
 
-    def __init__(self, responses_on_error):
+    def __init__(self):
         self.executed = []
-        self._responses_on_error = responses_on_error
 
     @property
     def conflicts(self):
@@ -1438,13 +1446,17 @@ class _BatchService(Service):
             except ValueError as error:
                 responses.append(f"error: ValueError: {error}")
         if any(isinstance(r, str) for r in responses):
-            error = ValueError("a command of the batch failed")
-            if self._responses_on_error:
-                error.responses = responses
-            else:
-                del self.executed[-len(commands):]   # ran nothing
-            raise error
+            raise ShardCommandError("a command of the batch failed",
+                                    responses)
         return responses
+
+
+def _keys_on_two_shards():
+    """Two linked-list values a two-shard mp engine places apart."""
+    from repro.core.command import stable_hash
+    first = stable_hash(1) % 2
+    other = next(v for v in range(2, 100) if stable_hash(v) % 2 != first)
+    return 1, other
 
 
 class TestServiceErrorIsTheResponse:
@@ -1470,7 +1482,7 @@ class TestServiceErrorIsTheResponse:
 
     def test_unknown_read_served_inline_is_answered(self):
         answered = []
-        service = _BatchService(responses_on_error=True)
+        service = _BatchService()
         replica = ParallelReplica(
             0, service, workers=1,
             on_response=lambda cmd, resp, rid: answered.append(resp))
@@ -1482,11 +1494,8 @@ class TestServiceErrorIsTheResponse:
             replica.stop()
         assert answered == ["error: ValueError: unknown op 'peek'"]
 
-    @pytest.mark.parametrize("responses_on_error", [True, False],
-                             ids=["batch-says-how-each-ended",
-                                  "batch-ran-nothing"])
-    def test_failed_batch_runs_each_command_once(self, responses_on_error):
-        service = _BatchService(responses_on_error)
+    def test_failed_batch_runs_each_command_once(self):
+        service = _BatchService()
         replica = ParallelReplica(0, service, workers=1)
         commands = [write(1), Command("insert", (2,), writes=True),
                     write(3)]
@@ -1494,3 +1503,31 @@ class TestServiceErrorIsTheResponse:
             True, "error: ValueError: unknown op 'insert'", True]
         assert service.executed == [1, 3]
         assert replica.executed == 3
+
+    def test_mp_error_reads_the_same_alone_and_batched(self):
+        from repro.par import MpService
+
+        expected = ("error: ValueError: unknown linked-list operation "
+                    "'insert'")
+        a, b = _keys_on_two_shards()
+        with MpService("linked-list", workers=2) as engine:
+            replica = ParallelReplica(0, engine, workers=1)
+            for fresh, bad in enumerate((
+                    Command("insert", (a,), writes=True),       # one shard
+                    Command("insert", (a, b), writes=True))):   # barrier
+                assert replica._execute_one(bad) == expected
+                assert replica._execute([bad, write(10_000 + fresh)]) == [
+                    expected, True]
+
+    def test_raising_barrier_command_releases_its_shards(self, monkeypatch):
+        from repro.par import MpService, config as par_config
+
+        monkeypatch.setattr(par_config, "DISPATCH_TIMEOUT", 2.0)
+        a, b = _keys_on_two_shards()
+        with MpService("linked-list", workers=2) as engine:
+            with pytest.raises(ValueError, match="unknown linked-list"):
+                engine.execute(Command("bogus", (a, b), writes=True))
+            # Both barred shards answer again, with their state unchanged.
+            assert engine.execute(write(10_000 + a)) is True
+            assert engine.execute(write(10_000 + b)) is True
+            assert engine.running

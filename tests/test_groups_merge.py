@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.broadcast.messages import Rendezvous, rendezvous_xid
 from repro.core.command import Command, MultiKeyedConflicts
 from repro.errors import ConfigurationError, SimulationError
 from repro.groups.merge import GroupMerger, SkipHoldMerger, command_key
+from repro.groups.messages import Rendezvous, rendezvous_xid
 
 
 def _cmd(key: int, seq: int, *more_keys: int) -> Command:

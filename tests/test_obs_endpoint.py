@@ -141,9 +141,19 @@ class TestSpanJoin:
                 50.0, key_space=10, seed=5).commands(6)
             client.execute_batch(commands)
             cluster.wait_converged(6)
-            replica_spans = cluster.servers[0].registry.spans.spans()
+            expected = {f"joiner#{base + 1 + offset}"
+                        for offset in range(6)}
+            # A worker counts its batch executed before it stamps the
+            # batch's ``responded`` spans: wait for the stamps, not longer.
+            deadline = time.monotonic() + 5.0
+            while True:
+                replica_spans = cluster.servers[0].registry.spans.spans()
+                if time.monotonic() > deadline or all(
+                        "responded" in replica_spans.get(key, ())
+                        for key in expected):
+                    break
+                time.sleep(0.005)
 
-        expected = {f"joiner#{base + 1 + offset}" for offset in range(6)}
         assert expected <= set(replica_spans), (
             f"replica trace missing keys: {expected - set(replica_spans)}")
         for key in expected:
